@@ -24,12 +24,6 @@ namespace dmpb {
 
 namespace {
 
-/** Capture block size, in events. Deliberately NOT --sim-batch: block
- *  boundaries are invisible to the interleaver's cursor, but pinning
- *  the capacity keeps captured streams byte-identical across engine
- *  configurations by construction. */
-constexpr std::size_t kCaptureBlockEvents = 64 * 1024;
-
 /** Per-tenant address-space stride (32 TiB). Captured streams are
  *  rebased by tenant_index * this, so co-scheduled tenants model
  *  separate processes contending for LLC capacity instead of
@@ -75,28 +69,9 @@ struct TenantWork
 };
 
 /**
- * Capture sink that rebases each filled block into the tenant's
- * private address slot and folds it into the delta-compressed stream.
- * Rebase-then-compress per block is equivalent to compressing first
- * and rebasing later (rebase is per-event, the codec is stateful but
- * exact), so compression changes nothing but the footprint.
- */
-struct CompressingCaptureSink final : BatchSink
-{
-    CompressedTrace *trace = nullptr;
-    std::uint64_t rebase_offset = 0;
-
-    void
-    consume(AccessBatch &block) override
-    {
-        if (rebase_offset != 0)
-            block.rebase(rebase_offset);
-        trace->append(block);
-    }
-};
-
-/**
- * Trace one tenant's proxy DAG into a captured event stream.
+ * Trace one tenant's proxy DAG into a captured event stream and
+ * replay it, block by block as it is captured, into the isolated
+ * baseline (TenantCaptureSink).
  *
  * Mirrors ProxyBenchmark::execute's per-edge parameterisation (seed
  * derivation, working-set bounding, chunk clamping, code footprint,
@@ -110,7 +85,7 @@ struct CompressingCaptureSink final : BatchSink
 void
 captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
               const MachineConfig &machine, Scale scale,
-              std::uint64_t rebase_offset)
+              std::uint64_t rebase_offset, ReplayMode mode)
 {
     const MotifParams &base = proxy.baseParams();
     const std::uint32_t tasks =
@@ -120,9 +95,8 @@ captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
         64 * 1024,
         std::min<std::uint64_t>(base.data_size / tasks, trace_cap));
 
-    CompressingCaptureSink sink;
-    sink.trace = &work.stream.trace;
-    sink.rebase_offset = rebase_offset;
+    TenantCaptureSink sink(work.stream.trace, machine, rebase_offset,
+                           mode);
     TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
     ctx.setCaptureSink(&sink);
     ctx.setCodeFootprint(48 * 1024);
@@ -157,31 +131,7 @@ captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
     // Flushes the final partial block into the sink and snapshots the
     // trace-level counters (the model stats inside are all zero).
     work.captured = ctx.profile();
-    work.stream.trace.shrinkToFit();
-}
-
-/** Replay one captured stream through a private full-LLC hierarchy --
- *  the isolated baseline. */
-TenantReplayStats
-replayIsolated(const TenantStream &stream, const MachineConfig &machine,
-               ReplayMode mode)
-{
-    CacheHierarchy caches(machine.caches, 1);
-    GsharePredictor predictor(machine.predictor.table_bits,
-                              machine.predictor.history_bits);
-    // Decode in capture-block-sized chunks; chunk boundaries bound
-    // run coalescing exactly like the original block boundaries did.
-    CompressedTrace::Cursor cursor(stream.trace);
-    AccessBatch scratch;
-    while (cursor.decode(scratch, kCaptureBlockEvents) > 0)
-        replayBatch(scratch, caches, predictor, mode);
-    TenantReplayStats st;
-    st.l1i = caches.l1i().stats();
-    st.l1d = caches.l1d().stats();
-    st.l2 = caches.l2().stats();
-    st.l3 = caches.l3Stats();
-    st.branch = predictor.stats();
-    return st;
+    work.isolated = sink.isolatedStats();
 }
 
 /** Assemble the full profile of one replay: captured trace-level
@@ -377,9 +327,11 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
         const MachineConfig &machine = cluster.node;
         std::vector<TenantWork> work(tenants);
 
-        // Stage 1: capture every tenant's event stream. Tenants are
-        // independent (each owns its slot), so this shards like any
-        // measurement -- bit-identical for every shard count.
+        // Stage 1: capture every tenant's event stream and replay its
+        // isolated baseline (one private full-LLC hierarchy) on the
+        // fly. Tenants are independent (each owns its slot), so this
+        // shards like any measurement -- bit-identical for every
+        // shard count.
         {
             std::vector<std::function<void()>> jobs;
             jobs.reserve(tenants);
@@ -394,30 +346,17 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
                     proxy.baseParams().seed =
                         mixSeed(spec.seed, w.short_name);
                     // Disjoint address space per tenant (the sink
-                    // rebases each block before compressing); the
-                    // isolated baseline replays the same rebased
-                    // stream, so the comparison stays like-for-like.
+                    // rebases each block before replaying and
+                    // compressing it); the co-located run replays
+                    // the same rebased stream, so the comparison
+                    // stays like-for-like.
                     captureTenant(w, proxy, machine, spec.scale,
-                                  i * kTenantAddrStride);
+                                  i * kTenantAddrStride,
+                                  cluster.sim.replay);
                 });
             }
             runShardedJobs(cluster.sim.shards, std::move(jobs),
                            nullptr, "co-location capture");
-        }
-
-        // Stage 2: isolated baselines, one private full-LLC replay
-        // per tenant (also sharded, also slot-isolated).
-        {
-            std::vector<std::function<void()>> jobs;
-            jobs.reserve(tenants);
-            for (std::size_t i = 0; i < tenants; ++i) {
-                jobs.push_back([&, i]() {
-                    work[i].isolated = replayIsolated(
-                        work[i].stream, machine, cluster.sim.replay);
-                });
-            }
-            runShardedJobs(cluster.sim.shards, std::move(jobs),
-                           nullptr, "isolated baseline replay");
         }
 
         // Capture-footprint stats snapshot, before the streams move
@@ -431,7 +370,7 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
             t.compression_ratio = trace.compressionRatio();
         }
 
-        // Stage 3: the co-located replay through one SharedL3 --
+        // Stage 2: the co-located replay through one SharedL3 --
         // single-threaded by design, so the contention pattern is a
         // pure function of the spec.
         std::vector<TenantStream> streams;
@@ -442,7 +381,7 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
             machine, streams, *policy, spec.interleave,
             cluster.sim.replay);
 
-        // Stage 4: per-tenant runtimes/metrics and the aggregates.
+        // Stage 3: per-tenant runtimes/metrics and the aggregates.
         std::vector<WorkloadResult> iso_results(tenants);
         std::vector<WorkloadResult> colo_results(tenants);
         for (std::size_t i = 0; i < tenants; ++i) {

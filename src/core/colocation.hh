@@ -8,13 +8,14 @@
  * are co-scheduled on one node?" -- the production situation the
  * BigDataBench suite is actually run in. The flow:
  *
- *   1. Capture: each tenant's proxy DAG is traced once with a
- *      capture-sink TraceContext (sim/trace.hh), producing its event
- *      stream without touching any model. Tenants capture
- *      independently, so this stage shards like every measurement.
- *   2. Isolated baseline: each stream replays through a private
- *      full-LLC hierarchy (also sharded, per tenant).
- *   3. Co-located run: all streams replay through ONE SharedL3 via
+ *   1. Capture + isolated baseline: each tenant's proxy DAG is
+ *      traced once with a capture-sink TraceContext (sim/trace.hh).
+ *      Its TenantCaptureSink (sim/colocation.hh) replays every block
+ *      through a private full-LLC hierarchy -- the isolated baseline
+ *      -- and appends it to the tenant's compressed stream. Tenants
+ *      capture independently, so this stage shards like every
+ *      measurement.
+ *   2. Co-located run: all streams replay through ONE SharedL3 via
  *      the deterministic round-robin interleaver
  *      (sim/colocation.hh) under the selected partition policy.
  *

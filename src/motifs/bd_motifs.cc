@@ -17,7 +17,7 @@ namespace dmpb {
 namespace {
 
 /** Number of whole chunks covering @p total bytes. */
-std::size_t
+[[maybe_unused]] std::size_t
 chunkCount(std::uint64_t total, std::uint64_t chunk)
 {
     if (chunk == 0)

@@ -27,6 +27,11 @@ namespace {
 class ClientConnection
 {
   public:
+    /** Connect retries while the daemon's socket is not yet up:
+     *  100 x 20 ms gives a just-started daemon two seconds. */
+    static constexpr int kConnectAttempts = 100;
+    static constexpr std::chrono::milliseconds kConnectRetryDelay{20};
+
     ~ClientConnection()
     {
         if (fd_ >= 0)
@@ -40,19 +45,26 @@ class ClientConnection
         if (socket_path.empty() ||
             socket_path.size() >= sizeof(addr.sun_path))
             return false;
-        fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (fd_ < 0)
-            return false;
         addr.sun_family = AF_UNIX;
         std::memcpy(addr.sun_path, socket_path.c_str(),
                     socket_path.size() + 1);
-        if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
-                      sizeof(addr)) != 0) {
+        // A daemon started just before the replay may not have bound
+        // or begun listening yet: retry those two errors briefly.
+        for (int attempt = 1;; ++attempt) {
+            fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+            if (fd_ < 0)
+                return false;
+            if (::connect(fd_, reinterpret_cast<sockaddr *>(&addr),
+                          sizeof(addr)) == 0)
+                return true;
+            int err = errno;
             ::close(fd_);
             fd_ = -1;
-            return false;
+            if ((err != ENOENT && err != ECONNREFUSED) ||
+                attempt >= kConnectAttempts)
+                return false;
+            std::this_thread::sleep_for(kConnectRetryDelay);
         }
-        return true;
     }
 
     bool

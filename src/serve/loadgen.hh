@@ -30,7 +30,9 @@ namespace dmpb {
 /** Load-generator knobs. */
 struct LoadGenOptions
 {
-    /** Socket of the daemon under load. */
+    /** Socket of the daemon under load. Connecting retries for up
+     *  to two seconds while the socket is missing or refusing, so a
+     *  daemon started just before the replay is waited for. */
     std::string socket_path;
     /** Total run requests to serve (across all connections). */
     std::size_t requests = 1000;

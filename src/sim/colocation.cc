@@ -46,6 +46,39 @@ replayTurn(StreamCursor &cur, std::size_t budget,
 
 } // namespace
 
+TenantCaptureSink::TenantCaptureSink(CompressedTrace &trace,
+                                     const MachineConfig &machine,
+                                     std::uint64_t rebase_offset,
+                                     ReplayMode mode)
+    : trace_(trace),
+      rebase_offset_(rebase_offset),
+      mode_(mode),
+      caches_(machine.caches, 1),
+      predictor_(machine.predictor.table_bits,
+                 machine.predictor.history_bits)
+{}
+
+void
+TenantCaptureSink::consume(AccessBatch &block)
+{
+    if (rebase_offset_ != 0)
+        block.rebase(rebase_offset_);
+    replayBatch(block, caches_, predictor_, mode_);
+    trace_.append(block);
+}
+
+TenantReplayStats
+TenantCaptureSink::isolatedStats() const
+{
+    TenantReplayStats st;
+    st.l1i = caches_.l1i().stats();
+    st.l1d = caches_.l1d().stats();
+    st.l2 = caches_.l2().stats();
+    st.l3 = caches_.l3Stats();
+    st.branch = predictor_.stats();
+    return st;
+}
+
 InterleaveResult
 interleaveReplay(const MachineConfig &machine,
                  const std::vector<TenantStream> &streams,

@@ -38,12 +38,14 @@ struct TenantStream
 {
     std::string name;
     /**
-     * The captured events, delta-compressed (~4-8x smaller than the
-     * raw 8-byte-per-event blocks this used to hold). The capture
-     * sink appends blocks as they fill; block boundaries vanish in
-     * the byte stream, only the concatenated event order matters.
-     * The interleaver decodes quantum-sized turns back into a
-     * scratch AccessBatch on the fly.
+     * The captured events, delta-compressed (~4-8x smaller than raw
+     * 8-byte-per-event blocks) in fixed-size chunks, so the resident
+     * footprint is the compressed size plus at most one chunk. The
+     * capture sink (TenantCaptureSink) replays each block into the
+     * isolated baseline and then appends it; block boundaries vanish
+     * in the byte stream, only the concatenated event order matters.
+     * The interleaver is the stream's only decoder: it decodes
+     * quantum-sized turns back into a scratch AccessBatch on the fly.
      */
     CompressedTrace trace;
 
@@ -71,6 +73,47 @@ struct TenantReplayStats
     CacheStats l2;
     CacheStats l3;      ///< this tenant's share of the shared LLC
     BranchStats branch;
+};
+
+/**
+ * Capture block size, in events, of a co-location tenant's
+ * TraceContext. Deliberately not --sim-batch: block boundaries are
+ * invisible in every statistic, but pinning the capacity keeps the
+ * captured streams byte-identical across engine configurations by
+ * construction.
+ */
+constexpr std::size_t kCaptureBlockEvents = 64 * 1024;
+
+/**
+ * Capture sink of one co-location tenant: the isolated baseline is
+ * replayed while the stream is captured, so the stream is decoded
+ * only once (by the interleaver).
+ *
+ * Each consumed block is rebased into the tenant's private address
+ * slot, replayed through a private full-LLC hierarchy and predictor
+ * (the isolated baseline), then appended to the compressed trace.
+ * Replay statistics do not depend on how the stream is cut into
+ * blocks, so this equals decoding the finished trace and replaying
+ * it afterwards -- without the second pass over the stream.
+ */
+class TenantCaptureSink final : public BatchSink
+{
+  public:
+    TenantCaptureSink(CompressedTrace &trace,
+                      const MachineConfig &machine,
+                      std::uint64_t rebase_offset, ReplayMode mode);
+
+    void consume(AccessBatch &block) override;
+
+    /** Model statistics of the isolated replay so far. */
+    TenantReplayStats isolatedStats() const;
+
+  private:
+    CompressedTrace &trace_;
+    const std::uint64_t rebase_offset_;
+    const ReplayMode mode_;
+    CacheHierarchy caches_;
+    GsharePredictor predictor_;
 };
 
 /** Outcome of interleaveReplay(). */

@@ -67,19 +67,29 @@ mtfFront(std::uint64_t *mtf, int i, std::uint64_t site)
 void
 CompressedTrace::putEvent(std::uint8_t code, std::uint64_t zz)
 {
+    if (kChunkBytes - chunk_used_ < kMaxEventBytes) {
+        chunks_.push_back(
+            std::make_unique_for_overwrite<std::uint8_t[]>(kChunkBytes));
+        chunk_used_ = 0;
+    }
+    std::uint8_t *const start = chunks_.back().get() + chunk_used_;
+    std::uint8_t *out = start;
     std::uint8_t b =
         static_cast<std::uint8_t>(code | ((zz & 0xf) << 3));
     zz >>= 4;
     if (zz != 0)
         b |= 0x80;
-    bytes_.push_back(b);
+    *out++ = b;
     while (zz != 0) {
         std::uint8_t c = zz & 0x7f;
         zz >>= 7;
         if (zz != 0)
             c |= 0x80;
-        bytes_.push_back(c);
+        *out++ = c;
     }
+    const std::size_t len = static_cast<std::size_t>(out - start);
+    chunk_used_ += len;
+    bytes_ += len;
 }
 
 void
@@ -153,10 +163,10 @@ CompressedTrace::append(const AccessBatch &block)
 double
 CompressedTrace::compressionRatio() const
 {
-    if (bytes_.empty())
+    if (bytes_ == 0)
         return 1.0;
     return static_cast<double>(rawBytes()) /
-           static_cast<double>(bytes_.size());
+           static_cast<double>(bytes_);
 }
 
 std::size_t
@@ -164,16 +174,24 @@ CompressedTrace::Cursor::decode(AccessBatch &out,
                                 std::size_t max_events)
 {
     out.reserve(max_events);
-    const std::uint8_t *bytes = trace_->bytes_.data();
+    const std::uint8_t *pos = pos_;
+    const std::uint8_t *end = end_;
     std::size_t produced = 0;
 
     while (produced < max_events && decoded_ < trace_->events_) {
-        std::uint8_t b = bytes[pos_++];
+        // The encoder's chunk-switch test, mirrored at the same event
+        // boundary (a fresh cursor has pos == end, so it enters the
+        // first chunk here too).
+        if (static_cast<std::size_t>(end - pos) < kMaxEventBytes) {
+            pos = trace_->chunks_[next_chunk_++].get();
+            end = pos + kChunkBytes;
+        }
+        std::uint8_t b = *pos++;
         const std::uint8_t code = b & 7;
         std::uint64_t zz = (b >> 3) & 0xf;
         unsigned shift = 4;
         while (b & 0x80) {
-            b = bytes[pos_++];
+            b = *pos++;
             zz |= static_cast<std::uint64_t>(b & 0x7f) << shift;
             shift += 7;
         }
@@ -223,6 +241,8 @@ CompressedTrace::Cursor::decode(AccessBatch &out,
         ++decoded_;
         ++produced;
     }
+    pos_ = pos;
+    end_ = end;
     return produced;
 }
 

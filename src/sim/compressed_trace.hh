@@ -35,6 +35,16 @@
  * streaming via Cursor, which owns its predictor-state copy and can
  * stop and resume at any event position (mid-block included).
  *
+ * The bytes live in fixed kChunkBytes chunks that are allocated once
+ * and never grown, copied or trimmed, so a stream's resident size is
+ * its compressed size plus one partly filled chunk (and under
+ * kMaxEventBytes of unused tail per full chunk) -- a half-GiB capture
+ * costs half a GiB, not the 2x a doubling vector briefly needs. An
+ * event never straddles two chunks: the encoder starts a new chunk
+ * whenever fewer than kMaxEventBytes remain, and the decoder applies
+ * the same test at every event boundary, so the unused tail bytes are
+ * never part of the stream.
+ *
  * The format is versioned (kFormatVersion) but deliberately never
  * persisted and never part of any cache key -- it is an in-memory
  * transport whose layout may change freely between versions.
@@ -45,6 +55,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "sim/access_batch.hh"
@@ -61,6 +72,13 @@ class CompressedTrace
     /** Entries in the branch-site move-to-front dictionary. */
     static constexpr std::size_t kSiteDictSize = 16;
 
+    /** Size of one storage chunk. */
+    static constexpr std::size_t kChunkBytes = 1 << 20;
+
+    /** Longest encoded event: the control byte carries 4 delta bits,
+     *  each continuation byte 7 more, for a full 64-bit delta. */
+    static constexpr std::size_t kMaxEventBytes = 1 + (64 - 4 + 6) / 7;
+
     /** Append all events of @p block to the stream. */
     void append(const AccessBatch &block);
 
@@ -70,12 +88,9 @@ class CompressedTrace
     /** Branch events appended (they cost 16 raw bytes, not 8). */
     std::uint64_t branchEvents() const { return branches_; }
 
-    /** Size of the compressed byte stream. */
-    std::uint64_t
-    compressedBytes() const
-    {
-        return static_cast<std::uint64_t>(bytes_.size());
-    }
+    /** Size of the compressed byte stream (chunk tail slack
+     *  excluded). */
+    std::uint64_t compressedBytes() const { return bytes_; }
 
     /**
      * What the same events cost as raw AccessBatch storage: one
@@ -92,8 +107,12 @@ class CompressedTrace
 
     bool empty() const { return events_ == 0; }
 
-    /** Trim the byte buffer's slack once a capture is complete. */
-    void shrinkToFit() { bytes_.shrink_to_fit(); }
+    /** Testing hook: bytes held by the allocated chunks. */
+    std::uint64_t
+    allocatedBytesForTest() const
+    {
+        return static_cast<std::uint64_t>(chunks_.size()) * kChunkBytes;
+    }
 
     /**
      * Streaming decoder over one CompressedTrace.
@@ -126,7 +145,9 @@ class CompressedTrace
 
       private:
         const CompressedTrace *trace_;
-        std::size_t pos_ = 0;        ///< next byte to read
+        std::size_t next_chunk_ = 0;       ///< next chunk to enter
+        const std::uint8_t *pos_ = nullptr;  ///< next byte to read
+        const std::uint8_t *end_ = nullptr;  ///< end of pos_'s chunk
         std::uint64_t decoded_ = 0;  ///< events decoded so far
         std::uint64_t prev_data_[2] = {0, 0};
         std::uint64_t stride_data_[2] = {0, 0};
@@ -139,7 +160,11 @@ class CompressedTrace
     /** Emit one control byte + varint continuation for @p zz. */
     void putEvent(std::uint8_t code, std::uint64_t zz);
 
-    std::vector<std::uint8_t> bytes_;
+    std::vector<std::unique_ptr<std::uint8_t[]>> chunks_;
+    /** Bytes written into the last chunk; starts "full" so the first
+     *  event allocates. */
+    std::size_t chunk_used_ = kChunkBytes;
+    std::uint64_t bytes_ = 0;
     std::uint64_t events_ = 0;
     std::uint64_t branches_ = 0;
     // Encoder predictor state, continuous across append() calls.

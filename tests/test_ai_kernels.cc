@@ -248,8 +248,9 @@ TEST_F(AiKernelTest, DropoutKeepsExpectedFractionAndScales)
     std::size_t kept = kernels::dropout(ctx_, x, 0.4, rng);
     EXPECT_NEAR(static_cast<double>(kept) / x.size(), 0.6, 0.02);
     for (float v : x.raw()) {
-        if (v != 0.0f)
+        if (v != 0.0f) {
             EXPECT_NEAR(v, 1.0 / 0.6, 0.01);
+        }
     }
 }
 

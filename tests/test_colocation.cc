@@ -2,9 +2,9 @@
  * @file
  * Tests for the co-location stack: the multi-tenant CacheModel
  * (way masks, per-tenant stats), the sliceL3 clamp, partition
- * policies, the deterministic round-robin interleaver, and the
- * end-to-end runColocation flow (shard invariance, caching, policy
- * differentiation).
+ * policies, the deterministic round-robin interleaver, the isolated
+ * baseline replayed during capture, and the end-to-end runColocation
+ * flow (shard invariance, caching, policy differentiation).
  */
 
 #include <gtest/gtest.h>
@@ -21,11 +21,14 @@
 #include "base/logging.hh"
 #include "base/rng.hh"
 #include "core/colocation.hh"
+#include "motifs/motif.hh"
 #include "sim/access_batch.hh"
 #include "sim/branch.hh"
 #include "sim/cache.hh"
 #include "sim/colocation.hh"
+#include "sim/engine.hh"
 #include "sim/partition_policy.hh"
+#include "sim/trace.hh"
 #include "stack/cluster.hh"
 
 namespace dmpb {
@@ -459,6 +462,58 @@ TEST(Interleaver, BlockChunkingIsInvisible)
     EXPECT_EQ(results[0].rebalances, results[1].rebalances);
     for (int t = 0; t < 2; ++t)
         expectSameStats(results[0].tenants[t], results[1].tenants[t]);
+}
+
+// ---------------------------------------------------------------------------
+// Isolated baseline replayed during capture (TenantCaptureSink)
+
+/** The isolated baseline as a second pass over a finished stream:
+ *  decode in capture-block-sized chunks into a fresh hierarchy. */
+TenantReplayStats
+replayDecoded(const CompressedTrace &trace, const MachineConfig &machine,
+              ReplayMode mode)
+{
+    CacheHierarchy caches(machine.caches, 1);
+    GsharePredictor predictor(machine.predictor.table_bits,
+                              machine.predictor.history_bits);
+    CompressedTrace::Cursor cursor(trace);
+    AccessBatch scratch;
+    while (cursor.decode(scratch, kCaptureBlockEvents) > 0)
+        replayBatch(scratch, caches, predictor, mode);
+    TenantReplayStats st;
+    st.l1i = caches.l1i().stats();
+    st.l1d = caches.l1d().stats();
+    st.l2 = caches.l2().stats();
+    st.l3 = caches.l3Stats();
+    st.branch = predictor.stats();
+    return st;
+}
+
+TEST(TenantCaptureSink, FusedReplayEqualsReplayOfDecodedStream)
+{
+    const MachineConfig machine = westmereE5645();
+    const Motif *motif = findMotif("quick_sort");
+    ASSERT_NE(motif, nullptr);
+    MotifParams p;
+    p.data_size = 256 * 1024;
+    p.chunk_size = 64 * 1024;
+    const ReplayMode modes[2] = {ReplayMode::Scalar,
+                                 ReplayMode::Vectorized};
+    TenantReplayStats fused[2];
+    for (int v = 0; v < 2; ++v) {
+        CompressedTrace trace;
+        TenantCaptureSink sink(trace, machine, 1ULL << 45, modes[v]);
+        TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
+        ctx.setCaptureSink(&sink);
+        motif->run(ctx, p);
+        ctx.profile();  // flushes the final partial block
+        ASSERT_GT(trace.events(), 2 * kCaptureBlockEvents);
+        ASSERT_GT(trace.branchEvents(), 0u);
+        fused[v] = sink.isolatedStats();
+        expectSameStats(fused[v],
+                        replayDecoded(trace, machine, modes[v]));
+    }
+    expectSameStats(fused[0], fused[1]);
 }
 
 TEST(Interleaver, ExhaustedTenantDropsOutAndRestFinish)

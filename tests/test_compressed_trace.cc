@@ -3,8 +3,8 @@
  * Property tests for the delta-compressed event stream
  * (sim/compressed_trace.hh): bit-exact round trips for randomized
  * streams, chunking invariance of the encoder, mid-block cursor
- * resume, rebase-then-compress equivalence and the footprint floor
- * the co-location capture path relies on.
+ * resume, chunk-boundary layout, rebase-then-compress equivalence and
+ * the footprint floor the co-location capture path relies on.
  */
 
 #include <gtest/gtest.h>
@@ -170,6 +170,106 @@ TEST(CompressedTrace, CursorResumesMidBlockAtAnyGranularity)
         EXPECT_EQ(decodeAll(trace, chunk), expect)
             << "chunk " << chunk;
     }
+}
+
+/**
+ * Push a branch-site dictionary miss whose encoding is exactly @p len
+ * bytes. Each site is the previous one plus a delta sized to that
+ * varint length; the deltas are positive and sixteen of them sum to
+ * under 2^64, so no site is ever still in the 16-entry dictionary.
+ */
+void
+pushMissOfLength(AccessBatch &batch, std::uint64_t &site, unsigned len)
+{
+    // zz = 2 * delta; the control byte holds 4 payload bits and every
+    // continuation byte 7 more.
+    const std::uint64_t delta =
+        len == 1 ? 1 : (1ULL << (3 + 7 * (len - 2))) + 1;
+    site += delta;
+    batch.pushBranch(site, (site & 2) != 0);
+}
+
+/** Append @p count events of exactly @p len bytes each. */
+void
+appendMisses(CompressedTrace &trace, FlatStream &expect,
+             std::uint64_t &site, unsigned len, std::size_t count)
+{
+    AccessBatch batch;
+    batch.reserve(count);
+    for (std::size_t i = 0; i < count; ++i)
+        pushMissOfLength(batch, site, len);
+    flatten(batch, expect);
+    trace.append(batch);
+}
+
+TEST(CompressedTrace, ChunkTailsFillExactlyAndSwitchBeforeOverflow)
+{
+    constexpr std::size_t kChunk = CompressedTrace::kChunkBytes;
+    constexpr unsigned kMax = CompressedTrace::kMaxEventBytes;
+    CompressedTrace trace;
+    FlatStream expect;
+    std::uint64_t site = 0;
+
+    // Chunk 0: worst-case events up to exactly kMax bytes before the
+    // tail, then one more worst-case event fills it to the last byte.
+    const std::size_t fill = kChunk - kMax;
+    appendMisses(trace, expect, site, kMax, fill / kMax);
+    if (fill % kMax != 0)
+        appendMisses(trace, expect, site, fill % kMax, 1);
+    appendMisses(trace, expect, site, kMax, 1);
+    EXPECT_EQ(trace.compressedBytes(), kChunk);
+    EXPECT_EQ(trace.allocatedBytesForTest(), kChunk);
+
+    // Chunk 1: filled to one byte short of a worst-case event, so
+    // even a one-byte event has to open chunk 2.
+    appendMisses(trace, expect, site, 1, 1);
+    EXPECT_EQ(trace.allocatedBytesForTest(), 2 * kChunk);
+    const std::size_t used = kChunk - (kMax - 1);
+    appendMisses(trace, expect, site, kMax, (used - 1) / kMax);
+    if ((used - 1) % kMax != 0)
+        appendMisses(trace, expect, site, (used - 1) % kMax, 1);
+    EXPECT_EQ(trace.compressedBytes(), kChunk + used);
+    EXPECT_EQ(trace.allocatedBytesForTest(), 2 * kChunk);
+    appendMisses(trace, expect, site, 1, 1);
+    EXPECT_EQ(trace.compressedBytes(), kChunk + used + 1);
+    EXPECT_EQ(trace.allocatedBytesForTest(), 3 * kChunk);
+
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                              std::size_t{4096}})
+        EXPECT_EQ(decodeAll(trace, chunk), expect) << "chunk " << chunk;
+}
+
+TEST(CompressedTrace, RoundTripsWorstCaseStreamAcrossChunks)
+{
+    // Full-range data addresses and random 64-bit branch sites (every
+    // one a dictionary miss): nearly every event takes 9 or 10 bytes,
+    // so the chunk tails land at varying offsets.
+    constexpr std::size_t kChunk = CompressedTrace::kChunkBytes;
+    CompressedTrace trace;
+    FlatStream expect;
+    Rng rng(0xc40c);
+    AccessBatch batch;
+    batch.reserve(4096);
+    while (trace.compressedBytes() < 3 * kChunk + kChunk / 2) {
+        for (std::size_t i = 0; i < 4096; ++i) {
+            const std::uint64_t r = rng.next();
+            if (r & 1)
+                batch.pushBranch(rng.next(), (r & 2) != 0);
+            else
+                batch.pushData(rng.next() & AccessBatch::kAddrMask,
+                               (r & 2) != 0);
+        }
+        flatten(batch, expect);
+        trace.append(batch);
+        batch.clear();
+    }
+    EXPECT_GE(trace.compressedBytes(), 9 * trace.events());
+    EXPECT_GE(trace.allocatedBytesForTest(), 4 * kChunk);
+    EXPECT_LE(trace.allocatedBytesForTest(),
+              trace.compressedBytes() + kChunk);
+    for (std::size_t chunk : {std::size_t{1}, std::size_t{7},
+                              std::size_t{4096}})
+        EXPECT_EQ(decodeAll(trace, chunk), expect) << "chunk " << chunk;
 }
 
 TEST(CompressedTrace, RebaseThenCompressEqualsCompressThenRebase)

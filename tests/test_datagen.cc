@@ -61,8 +61,9 @@ TEST(Gensort, KeyPrefixOrderConsistent)
     GensortGenerator g(4);
     auto recs = g.generate(300);
     for (std::size_t i = 0; i + 1 < recs.size(); ++i) {
-        if (recs[i].keyPrefix() < recs[i + 1].keyPrefix())
+        if (recs[i].keyPrefix() < recs[i + 1].keyPrefix()) {
             EXPECT_TRUE(recs[i] < recs[i + 1]);
+        }
     }
 }
 
