@@ -1,26 +1,25 @@
 /**
  * @file
  * Ablation of the trace-replay data path: run every workload's
- * measurement under the three replay configurations --
+ * measurement under the two replay configurations --
  *
- *   scalar     --sim-batch 1              (the unbatched PR-5 path)
- *   batched    default batch, --sim-replay scalar
- *   vectorized default batch, --sim-replay vector (run coalescing)
+ *   unbatched  --sim-batch 1   (every event drives the models inline)
+ *   batched    default batch   (blocks drained by replayBatch())
  *
- * -- assert zero metric drift between all of them, and report the
- * wall clocks. A fourth section runs one co-located scenario twice
- * (vector vs scalar replay of the delta-compressed captured streams),
- * asserts bit-identical outcome checksums, and asserts the captured
- * stream footprint shrank >= 4x versus raw 8-byte-per-event blocks.
+ * -- assert zero metric drift between them, and report the wall
+ * clocks. A final section runs one co-located scenario from its
+ * delta-compressed captured streams, asserts it completes, and
+ * asserts the captured stream footprint shrank >= 4x versus raw
+ * 8-byte-per-event blocks.
  *
- * The DMPB_BENCH_JSON rows carry real_s = scalar-unbatched wall,
- * proxy_s = vectorized wall, speedup = their ratio, per workload,
- * plus one "colo-compress" row whose speedup is the aggregate
- * compression ratio -- CI uploads the file per commit, tracking the
- * replay engine's wall-clock and footprint trajectory.
+ * The DMPB_BENCH_JSON rows carry real_s = unbatched wall, proxy_s =
+ * batched wall, speedup = their ratio, per workload, plus one
+ * "colo-compress" row whose speedup is the aggregate compression
+ * ratio -- CI uploads the file per commit, tracking the replay
+ * engine's wall-clock and footprint trajectory.
  *
  * Shards are pinned to 1 in every row so the comparison isolates the
- * replay kernel itself (bench_ablation_measure covers sharding).
+ * replay path itself (bench_ablation_measure covers sharding).
  */
 
 #include <chrono>
@@ -54,12 +53,11 @@ sameResult(const WorkloadResult &a, const WorkloadResult &b)
 }
 
 ClusterConfig
-replayCluster(std::size_t batch, ReplayMode mode)
+replayCluster(std::size_t batch)
 {
     ClusterConfig c = paperCluster5();
     c.sim.shards = 1;
     c.sim.batch_capacity = batch;
-    c.sim.replay = mode;
     return c;
 }
 
@@ -70,77 +68,57 @@ main()
 {
     BenchReport bench("ablation_replay");
     TextTable t;
-    t.header({"Workload", "Scalar (s)", "Batched (s)", "Vector (s)",
-              "Speedup", "Drift"});
+    t.header({"Workload", "Unbatched (s)", "Batched (s)", "Speedup",
+              "Drift"});
 
     const std::size_t batch = kDefaultSimBatchCapacity;
     bool drift_any = false;
     for (const auto &w : paperWorkloads()) {
         auto s0 = std::chrono::steady_clock::now();
-        WorkloadResult scalar =
-            w->run(replayCluster(1, ReplayMode::Scalar));
-        double scalar_wall = wallSince(s0);
+        WorkloadResult unbatched = w->run(replayCluster(1));
+        double unbatched_wall = wallSince(s0);
 
         auto s1 = std::chrono::steady_clock::now();
-        WorkloadResult batched =
-            w->run(replayCluster(batch, ReplayMode::Scalar));
+        WorkloadResult batched = w->run(replayCluster(batch));
         double batched_wall = wallSince(s1);
 
-        auto s2 = std::chrono::steady_clock::now();
-        WorkloadResult vectorized =
-            w->run(replayCluster(batch, ReplayMode::Vectorized));
-        double vector_wall = wallSince(s2);
-
-        // Zero-drift: the replay kernel is a pure wall-clock knob, so
-        // the simulated runtime and every metric double must match
-        // bit for bit across all three configurations.
-        bool drift = !sameResult(scalar, batched) ||
-                     !sameResult(scalar, vectorized);
+        // Zero-drift: batching is a pure wall-clock knob, so the
+        // simulated runtime and every metric double must match bit
+        // for bit.
+        bool drift = !sameResult(unbatched, batched);
         drift_any = drift_any || drift;
 
-        double sp = vector_wall > 0 ? scalar_wall / vector_wall : 0.0;
-        t.row({shortName(w->name()), formatDouble(scalar_wall, 3),
+        double sp =
+            batched_wall > 0 ? unbatched_wall / batched_wall : 0.0;
+        t.row({shortName(w->name()), formatDouble(unbatched_wall, 3),
                formatDouble(batched_wall, 3),
-               formatDouble(vector_wall, 3),
                formatDouble(sp, 2) + "x", drift ? "DRIFT" : "none"});
-        bench.addRow("replay-" + shortName(w->name()), scalar_wall,
-                     vector_wall, sp);
+        bench.addRow("replay-" + shortName(w->name()), unbatched_wall,
+                     batched_wall, sp);
     }
 
-    std::printf("== Ablation: scalar vs batched vs vectorized "
-                "replay (quick=%d)\n", quickMode() ? 1 : 0);
+    std::printf("== Ablation: unbatched vs batched replay (quick=%d)\n",
+                quickMode() ? 1 : 0);
     t.print();
 
     // ---- Compressed capture path: one co-located scenario, replayed
-    // from the delta-compressed streams under both kernels.
+    // from the delta-compressed streams.
     ColocationSpec spec;
     spec.workloads = {"grep", "kmeans"};
     spec.policy = "static-equal";
     spec.scale = benchScale();
 
-    ClusterConfig vec_cluster = replayCluster(batch,
-                                              ReplayMode::Vectorized);
     auto c0 = std::chrono::steady_clock::now();
-    ColocationOutcome vec = runColocation(spec, vec_cluster,
-                                          CacheConfig{},
-                                          CachePolicy::Bypass);
-    double vec_wall = wallSince(c0);
+    ColocationOutcome colo = runColocation(spec, replayCluster(batch),
+                                           CacheConfig{},
+                                           CachePolicy::Bypass);
+    double colo_wall = wallSince(c0);
 
-    ClusterConfig sc_cluster = replayCluster(batch, ReplayMode::Scalar);
-    auto c1 = std::chrono::steady_clock::now();
-    ColocationOutcome sc = runColocation(spec, sc_cluster,
-                                         CacheConfig{},
-                                         CachePolicy::Bypass);
-    double sc_wall = wallSince(c1);
-
-    bool colo_ok = vec.status == RunStatus::Ok &&
-                   sc.status == RunStatus::Ok &&
-                   vec.checksum == sc.checksum;
-    drift_any = drift_any || !colo_ok;
+    bool colo_ok = colo.status == RunStatus::Ok;
 
     std::uint64_t raw_bytes = 0;
     std::uint64_t compressed_bytes = 0;
-    for (const TenantOutcome &tn : vec.tenants) {
+    for (const TenantOutcome &tn : colo.tenants) {
         raw_bytes += 8 * tn.captured_events;
         compressed_bytes += tn.compressed_bytes;
     }
@@ -149,19 +127,23 @@ main()
                              static_cast<double>(compressed_bytes)
                        : 0.0;
     std::printf("\nco-located capture: %llu events, %llu compressed "
-                "bytes (%.1fx vs raw), checksum %s, "
-                "scalar %.3fs / vector %.3fs\n",
+                "bytes (%.1fx vs raw), status %s, %.3fs\n",
                 static_cast<unsigned long long>(raw_bytes / 8),
                 static_cast<unsigned long long>(compressed_bytes),
-                ratio, colo_ok ? "match" : "MISMATCH", sc_wall,
-                vec_wall);
+                ratio, colo_ok ? "ok" : "FAILED", colo_wall);
     bench.addRow("colo-compress", static_cast<double>(raw_bytes),
                  static_cast<double>(compressed_bytes), ratio);
 
     if (drift_any) {
         std::fprintf(stderr,
                      "[ablation_replay] FAIL: replay configurations "
-                     "diverged (the kernel must be metric-neutral)\n");
+                     "diverged (batching must be metric-neutral)\n");
+        return 1;
+    }
+    if (!colo_ok) {
+        std::fprintf(stderr,
+                     "[ablation_replay] FAIL: co-located scenario "
+                     "did not complete: %s\n", colo.error.c_str());
         return 1;
     }
     if (ratio < 4.0) {
@@ -170,7 +152,7 @@ main()
                      "compression %.2fx < 4x floor\n", ratio);
         return 1;
     }
-    std::printf("\nscalar == batched == vectorized: OK "
-                "(compression %.1fx)\n", ratio);
+    std::printf("\nunbatched == batched: OK (compression %.1fx)\n",
+                ratio);
     return 0;
 }

@@ -85,7 +85,7 @@ struct TenantWork
 void
 captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
               const MachineConfig &machine, Scale scale,
-              std::uint64_t rebase_offset, ReplayMode mode)
+              std::uint64_t rebase_offset)
 {
     const MotifParams &base = proxy.baseParams();
     const std::uint32_t tasks =
@@ -95,8 +95,7 @@ captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
         64 * 1024,
         std::min<std::uint64_t>(base.data_size / tasks, trace_cap));
 
-    TenantCaptureSink sink(work.stream.trace, machine, rebase_offset,
-                           mode);
+    TenantCaptureSink sink(work.stream.trace, machine, rebase_offset);
     TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
     ctx.setCaptureSink(&sink);
     ctx.setCodeFootprint(48 * 1024);
@@ -351,8 +350,7 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
                     // the same rebased stream, so the comparison
                     // stays like-for-like.
                     captureTenant(w, proxy, machine, spec.scale,
-                                  i * kTenantAddrStride,
-                                  cluster.sim.replay);
+                                  i * kTenantAddrStride);
                 });
             }
             runShardedJobs(cluster.sim.shards, std::move(jobs),
@@ -378,8 +376,7 @@ runColocation(const ColocationSpec &spec, const ClusterConfig &cluster,
         for (TenantWork &w : work)
             streams.push_back(std::move(w.stream));
         InterleaveResult inter = interleaveReplay(
-            machine, streams, *policy, spec.interleave,
-            cluster.sim.replay);
+            machine, streams, *policy, spec.interleave);
 
         // Stage 3: per-tenant runtimes/metrics and the aggregates.
         std::vector<WorkloadResult> iso_results(tenants);

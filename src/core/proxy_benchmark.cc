@@ -163,15 +163,13 @@ ProxyBenchmark::poolFor(const MachineConfig &machine,
     key << machine.predictor.table_bits << ':'
         << machine.predictor.history_bits << '|'
         << accelKeyPart(machine.accel) << '|' << l3_sharers << '|'
-        << sim_.batch_capacity << '|'
-        << static_cast<int>(sim_.replay);
+        << sim_.batch_capacity;
     MutexLock lock(pool_registry_->mutex);
     std::unique_ptr<ReplicaPool> &slot =
         pool_registry_->pools[key.str()];
     if (slot == nullptr) {
         slot = std::make_unique<ReplicaPool>(machine, l3_sharers, 1,
-                                             sim_.batch_capacity,
-                                             sim_.replay);
+                                             sim_.batch_capacity);
     }
     return *slot;
 }

@@ -53,17 +53,5 @@ parseDoubleFlag(const std::string &flag, const std::string &value)
     return out;
 }
 
-ReplayMode
-parseReplayModeFlag(const std::string &flag, const std::string &value)
-{
-    if (value == "vector")
-        return ReplayMode::Vectorized;
-    if (value == "scalar")
-        return ReplayMode::Scalar;
-    throw std::invalid_argument("unknown replay mode '" + value +
-                                "' for " + flag +
-                                " (valid: vector, scalar)");
-}
-
 } // namespace cli
 } // namespace dmpb

@@ -18,8 +18,6 @@
 #include <cstdint>
 #include <string>
 
-#include "sim/access_batch.hh"
-
 namespace dmpb {
 namespace cli {
 
@@ -38,14 +36,6 @@ std::uint64_t parseU64Flag(const std::string &flag,
  */
 double parseDoubleFlag(const std::string &flag,
                        const std::string &value);
-
-/**
- * Parse a --sim-replay value. Throws std::invalid_argument naming
- * the valid options ('vector', 'scalar') for anything else, matching
- * the unknown-workload/unknown-policy idiom.
- */
-ReplayMode parseReplayModeFlag(const std::string &flag,
-                               const std::string &value);
 
 } // namespace cli
 } // namespace dmpb

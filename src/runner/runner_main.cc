@@ -69,15 +69,9 @@ Usage: dmpb [options]
                       are bit-identical for every value)
   --sim-batch N       Events buffered per trace context before a
                       batched model replay (default: host-adapted --
-                      32768 on multi-CPU hosts, 1 = the unbatched
-                      scalar path on single-CPU hosts; results are
-                      identical either way)
-  --sim-replay MODE   Replay kernel for batched model replays:
-                      'vector' (default; SIMD-friendly decode pass
-                      plus exact same-line run coalescing) or
-                      'scalar' (the reference event-at-a-time loop).
-                      Another pure wall-clock knob: every statistic
-                      is bit-identical in both modes
+                      32768 on multi-CPU hosts, 1 = unbatched on
+                      single-CPU hosts; results are identical either
+                      way)
   --tuner-jobs N      Worker threads per pipeline for the auto-tuner's
                       batched proxy evaluations (impact-analysis
                       samples and speculative feedback candidates run
@@ -298,13 +292,6 @@ main(int argc, char **argv)
         } else if (arg == "--sim-batch") {
             options.sim.batch_capacity = static_cast<std::size_t>(
                 positiveU64Flag("--sim-batch", value("--sim-batch")));
-        } else if (arg == "--sim-replay") {
-            try {
-                options.sim.replay = cli::parseReplayModeFlag(
-                    "--sim-replay", value("--sim-replay"));
-            } catch (const std::invalid_argument &e) {
-                usageError(e.what());
-            }
         } else if (arg == "--tuner-jobs") {
             options.tuner.jobs = static_cast<std::size_t>(
                 positiveU64Flag("--tuner-jobs", value("--tuner-jobs")));

@@ -52,12 +52,12 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 } // namespace
 
 /**
- * One accepted client. The reader thread owns inbuf; responses may be
- * written from the reader (immediate commands) and any worker (run
- * responses) concurrently, hence the write mutex. The fd is closed
- * only by the destructor, after every holder of the shared_ptr (the
- * reader, queued jobs, the shutdown slot) has dropped it, so a worker
- * can never write into a recycled descriptor.
+ * One accepted client. Responses may be written from the reader
+ * (immediate commands) and any worker (run responses) concurrently,
+ * hence the write mutex. The fd is closed only by the destructor,
+ * after every holder of the shared_ptr (the reader, queued jobs, the
+ * shutdown slot) has dropped it, so a worker can never write into a
+ * recycled descriptor.
  */
 struct Server::Connection
 {
@@ -103,7 +103,6 @@ struct Server::Connection
     const int fd;
     AnnotatedMutex write_mutex;
     std::atomic<bool> open{true};
-    std::string inbuf;
 };
 
 Server::Server(ServiceConfig service_config, ServeOptions options)
@@ -273,27 +272,43 @@ void
 Server::readerLoop(std::shared_ptr<Connection> conn)
 {
     char buf[4096];
+    // Pending bytes of the current, unterminated line. inbuf holds no
+    // '\n' between receives, so each byte is scanned once: a client
+    // trickling a long line costs linear, not quadratic, CPU.
+    std::string inbuf;
     while (conn->open.load(std::memory_order_relaxed)) {
         ssize_t n = ::recv(conn->fd, buf, sizeof(buf), 0);
         if (n < 0 && errno == EINTR)
             continue;
         if (n <= 0)
             break;
-        conn->inbuf.append(buf, static_cast<std::size_t>(n));
+        std::size_t scan = inbuf.size();
+        inbuf.append(buf, static_cast<std::size_t>(n));
         std::size_t start = 0;
         for (;;) {
-            std::size_t eol = conn->inbuf.find('\n', start);
+            std::size_t eol = inbuf.find('\n', scan);
             if (eol == std::string::npos)
                 break;
-            std::string line =
-                conn->inbuf.substr(start, eol - start);
-            start = eol + 1;
+            std::string line = inbuf.substr(start, eol - start);
+            start = scan = eol + 1;
             if (!line.empty() && line.back() == '\r')
                 line.pop_back();
             if (!line.empty())
                 handleLine(conn, line);
         }
-        conn->inbuf.erase(0, start);
+        inbuf.erase(0, start);
+        if (inbuf.size() > kMaxRequestLineBytes) {
+            {
+                MutexLock lock(stats_mutex_);
+                ++stats_.errors;
+            }
+            conn->sendLine(buildErrorResponse(
+                0, "request line exceeds " +
+                       std::to_string(kMaxRequestLineBytes) +
+                       " bytes without a newline; closing connection"));
+            conn->hangUp();
+            break;
+        }
     }
     conn->open.store(false, std::memory_order_relaxed);
 }

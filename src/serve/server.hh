@@ -41,6 +41,14 @@
 
 namespace dmpb {
 
+/**
+ * Longest request line the daemon buffers. A connection whose pending
+ * bytes pass this without a newline gets one error response naming
+ * the limit and is hung up, so a client that never sends '\n' cannot
+ * grow the daemon's memory without bound.
+ */
+constexpr std::size_t kMaxRequestLineBytes = 1024 * 1024;
+
 /** Daemon knobs (the service itself is configured by ServiceConfig). */
 struct ServeOptions
 {

@@ -37,42 +37,25 @@ enum class SimOp : std::uint8_t
 constexpr std::size_t kDefaultSimBatchCapacity = 32 * 1024;
 
 /**
- * Which replay kernel drains batches through the models.
- *
- * Both kernels apply the identical event sequence to the identical
- * model state machine; the choice is a pure wall-clock knob and is
- * invisible in every statistic (and excluded from every cache key).
- */
-enum class ReplayMode : std::uint8_t
-{
-    /**
-     * Chunked decode pass into SoA scratch (op/addr/line, plus the
-     * pow2 set/tag fast path) feeding the stateful update loop, with
-     * same-line run coalescing where it is provably bit-identical
-     * (see replayBatch() in sim/engine.hh). The default.
-     */
-    Vectorized = 0,
-    /** Event-at-a-time switch loop: the equivalence baseline. */
-    Scalar,
-};
-
-/**
  * Host-adapted default batch capacity: kDefaultSimBatchCapacity when
- * the machine has CPUs to overlap replay with emission, 1 (the inline
- * scalar path) on single-CPU hosts where buffering events is pure
- * overhead. Either way the models consume the identical event
- * sequence, so the choice is invisible in every statistic.
+ * the machine has CPUs to overlap replay with emission, 1 (events
+ * drive the models inline, unbatched) on single-CPU hosts where
+ * buffering events is pure overhead. Either way the models consume
+ * the identical event sequence, so the choice is invisible in every
+ * statistic.
  */
 std::size_t defaultSimBatchCapacity();
 
 /**
  * Execution knobs of the trace-simulation engine.
  *
- * Neither field changes any simulated metric: batching replays the
- * identical event sequence, and shards only run *independent*
- * simulated contexts (private cache/predictor replicas) concurrently,
- * merging their profiles in a fixed order. Both therefore preserve
- * the repo's bit-determinism guarantee, for every value.
+ * No field changes any simulated metric: every batch is drained by
+ * the one replay loop (replayBatch() in sim/engine.hh) in program
+ * order, batching replays the identical event sequence, and shards
+ * only run *independent* simulated contexts (private cache/predictor
+ * replicas) concurrently, merging their profiles in a fixed order.
+ * All of them therefore preserve the repo's bit-determinism
+ * guarantee, for every value.
  */
 struct SimConfig
 {
@@ -86,19 +69,11 @@ struct SimConfig
 
     /**
      * Events buffered per TraceContext before a replay flush.
-     * 0 = auto (defaultSimBatchCapacity()); 1 = the unbatched scalar
-     * path, where every event drives the models immediately (kept
-     * for tests and as the equivalence baseline).
+     * 0 = auto (defaultSimBatchCapacity()); 1 = unbatched, where
+     * every event drives the models immediately (kept for tests and
+     * as the equivalence baseline).
      */
     std::size_t batch_capacity = 0;
-
-    /**
-     * Replay kernel selection (--sim-replay). Vectorized is the
-     * production path; Scalar is kept as the equivalence baseline the
-     * tests and the ablation bench compare against. Like every other
-     * engine knob it never changes a simulated number.
-     */
-    ReplayMode replay = ReplayMode::Vectorized;
 
     /**
      * Optional deadline poll the execution engines hand to

@@ -6,7 +6,6 @@
 
 #include "base/logging.hh"
 #include "base/names.hh"
-#include "sim/engine.hh"
 
 namespace dmpb {
 
@@ -215,13 +214,6 @@ CacheHierarchy::CacheHierarchy(const Params &params, SharedL3 &shared_l3,
     dmpb_assert(tenant < shared_l3.tenants(),
                 "shared-L3 tenant ", tenant, " out of range (",
                 shared_l3.tenants(), " tenants)");
-}
-
-void
-CacheHierarchy::replay(const AccessBatch &batch,
-                       BranchPredictor &predictor, ReplayMode mode)
-{
-    replayBatch(batch, *this, predictor, mode);
 }
 
 void

@@ -13,8 +13,8 @@
  * two cache lines, not a struct per way), the hit path does nothing
  * but scan tags and bump an age stamp, the victim scan is branch-free,
  * and power-of-two set counts take a mask/shift fast path instead of
- * modulo/divide. access() is defined inline so both the scalar path
- * and the batched replay loop (sim/engine.hh) inline it.
+ * modulo/divide. access() is defined inline so both the unbatched
+ * path and the batched replay loop (sim/engine.hh) inline it.
  *
  * Multi-tenant sharing (the co-location mode): a CacheModel can be
  * constructed for K tenants, each with its own CacheStats and an
@@ -37,11 +37,7 @@
 #include <utility>
 #include <vector>
 
-#include "sim/access_batch.hh"
-
 namespace dmpb {
-
-class BranchPredictor;
 
 /** Geometry and bookkeeping parameters of one cache level. */
 struct CacheParams
@@ -173,68 +169,9 @@ class CacheModel
         return lookupLine(line, set, tag, write, st, tenant);
     }
 
-    /**
-     * access() with the line/set/tag decomposition already done by
-     * the caller -- the vectorized replay kernel's decode pass
-     * precomputes these into SoA scratch arrays (pow2 geometries
-     * only; see pow2Sets()). The arguments must satisfy
-     * line = addr >> lineShift(), set = line & setMask(),
-     * tag = line >> setShift(); under that contract this is
-     * bit-identical to access() in state and statistics.
-     */
-    bool
-    accessDecoded(std::uint64_t line, std::uint64_t set,
-                  std::uint64_t tag, bool write,
-                  std::uint32_t tenant = 0)
-    {
-        CacheStats &st = tstats_[tenant];
-        ++st.accesses;
-        if (line == mru_line_[0]) {
-            lru_[mru_way_[0]] = ++tick_;
-            dirty_[mru_way_[0]] |= write;
-            return true;
-        }
-        if (line == mru_line_[1]) {
-            lru_[mru_way_[1]] = ++tick_;
-            dirty_[mru_way_[1]] |= write;
-            std::swap(mru_line_[0], mru_line_[1]);
-            std::swap(mru_way_[0], mru_way_[1]);
-            return true;
-        }
-        return lookupLine(line, set, tag, write, st, tenant);
-    }
-
-    /**
-     * Fold @p n consecutive MRU-slot-0 hint hits into one call.
-     *
-     * Precondition: the immediately preceding access touched the line
-     * now hinted in slot 0 (every access() leaves its line there) and
-     * each of the @p n folded accesses targets that same line. Each
-     * such access would take the slot-0 hint path above -- bump the
-     * age clock, restamp the hinted way, OR the dirty bit -- so the
-     * fold below is bit-identical in counters AND replacement state
-     * (stateHashForTest() agrees): the way's age stamp only keeps its
-     * final value, and the dirty bit ORs the run's stores at once.
-     * The replay kernel uses this to coalesce same-line runs; hint
-     * hits never consult way masks, so shared-mode behaviour is
-     * untouched.
-     *
-     * @param any_write True if any of the @p n accesses is a store.
-     */
-    void
-    mruHintRun(std::uint64_t n, bool any_write,
-               std::uint32_t tenant = 0)
-    {
-        CacheStats &st = tstats_[tenant];
-        st.accesses += n;
-        tick_ += n;
-        lru_[mru_way_[0]] = tick_;
-        dirty_[mru_way_[0]] |= any_write;
-    }
-
   private:
     /**
-     * Shared tail of access()/accessDecoded(): the tag scan and, on a
+     * Tail of access() past the MRU hints: the tag scan and, on a
      * miss, the victim scan + fill. @p st is the tenant's counters
      * (accesses already bumped by the caller).
      */
@@ -323,14 +260,6 @@ class CacheModel
     void reset();
 
     const CacheParams &params() const { return params_; }
-
-    /** @{ Address-decomposition constants for external decode passes
-     *  (the vectorized replay kernel). */
-    std::uint32_t lineShift() const { return line_shift_; }
-    bool pow2Sets() const { return pow2_sets_; }
-    std::uint64_t setMask() const { return set_mask_; }
-    std::uint32_t setShift() const { return set_shift_; }
-    /** @} */
 
     /** Tenant 0's counters -- the only ones a single-tenant model
      *  has, so existing callers read exactly what they always did. */
@@ -518,35 +447,6 @@ class CacheHierarchy
         l3_->access(addr, write, l3_tenant_);
     }
 
-    /**
-     * dataAccess() with the L1D line/set/tag decomposition already
-     * done (the replay kernel's decode pass precomputes it; L2/L3
-     * decode from @p addr as usual on the rare L1D miss).
-     */
-    void
-    dataAccessDecoded(std::uint64_t addr, std::uint64_t line,
-                      std::uint64_t set, std::uint64_t tag,
-                      bool write)
-    {
-        if (l1d_.accessDecoded(line, set, tag, write))
-            return;
-        if (l2_.access(addr, write))
-            return;
-        l3_->access(addr, write, l3_tenant_);
-    }
-
-    /**
-     * Fold @p n L1D MRU-hint hits of the line the preceding data
-     * access touched (see CacheModel::mruHintRun). Hint hits never
-     * reach L2/L3, so only the private L1D is involved -- shared-L3
-     * and way-mask behaviour cannot be affected.
-     */
-    void
-    l1dHintRun(std::uint64_t n, bool any_write)
-    {
-        l1d_.mruHintRun(n, any_write);
-    }
-
     /** Instruction-fetch access walking L1I -> L2 -> L3. */
     void
     instrAccess(std::uint64_t addr)
@@ -557,16 +457,6 @@ class CacheHierarchy
             return;
         l3_->access(addr, false, l3_tenant_);
     }
-
-    /**
-     * Batched replay: drain @p batch through this hierarchy (and
-     * branch events through @p predictor) in strict program order.
-     * Produces statistics bit-identical to issuing the same events
-     * through dataAccess()/instrAccess()/record() one at a time,
-     * for either replay kernel.
-     */
-    void replay(const AccessBatch &batch, BranchPredictor &predictor,
-                ReplayMode mode = ReplayMode::Vectorized);
 
     const CacheModel &l1i() const { return l1i_; }
     const CacheModel &l1d() const { return l1d_; }

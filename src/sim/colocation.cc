@@ -30,17 +30,14 @@ struct StreamCursor
 /**
  * Replay up to @p budget events of the tenant's stream. Returns the
  * number of events consumed (< budget only when the stream ran dry).
- * Each turn is an independent replayBatch() call, so vectorized-mode
- * run coalescing can never fold across a turn boundary.
  */
 std::size_t
 replayTurn(StreamCursor &cur, std::size_t budget,
-           CacheHierarchy &caches, BranchPredictor &predictor,
-           ReplayMode mode)
+           CacheHierarchy &caches, BranchPredictor &predictor)
 {
     const std::size_t decoded = cur.cur.decode(cur.scratch, budget);
     if (decoded > 0)
-        replayBatch(cur.scratch, caches, predictor, mode);
+        replayBatch(cur.scratch, caches, predictor);
     return decoded;
 }
 
@@ -48,11 +45,9 @@ replayTurn(StreamCursor &cur, std::size_t budget,
 
 TenantCaptureSink::TenantCaptureSink(CompressedTrace &trace,
                                      const MachineConfig &machine,
-                                     std::uint64_t rebase_offset,
-                                     ReplayMode mode)
+                                     std::uint64_t rebase_offset)
     : trace_(trace),
       rebase_offset_(rebase_offset),
-      mode_(mode),
       caches_(machine.caches, 1),
       predictor_(machine.predictor.table_bits,
                  machine.predictor.history_bits)
@@ -63,7 +58,7 @@ TenantCaptureSink::consume(AccessBatch &block)
 {
     if (rebase_offset_ != 0)
         block.rebase(rebase_offset_);
-    replayBatch(block, caches_, predictor_, mode_);
+    replayBatch(block, caches_, predictor_);
     trace_.append(block);
 }
 
@@ -82,8 +77,7 @@ TenantCaptureSink::isolatedStats() const
 InterleaveResult
 interleaveReplay(const MachineConfig &machine,
                  const std::vector<TenantStream> &streams,
-                 PartitionPolicy &policy, const InterleaveConfig &cfg,
-                 ReplayMode mode)
+                 PartitionPolicy &policy, const InterleaveConfig &cfg)
 {
     const std::uint32_t tenants =
         static_cast<std::uint32_t>(streams.size());
@@ -133,7 +127,7 @@ interleaveReplay(const MachineConfig &machine,
             StreamCursor &cur = cursors[t];
             if (cur.done())
                 continue;
-            replayTurn(cur, quantum, *hiers[t], *preds[t], mode);
+            replayTurn(cur, quantum, *hiers[t], *preds[t]);
             if (cur.done())
                 --active;
         }

@@ -101,7 +101,7 @@ class TenantCaptureSink final : public BatchSink
   public:
     TenantCaptureSink(CompressedTrace &trace,
                       const MachineConfig &machine,
-                      std::uint64_t rebase_offset, ReplayMode mode);
+                      std::uint64_t rebase_offset);
 
     void consume(AccessBatch &block) override;
 
@@ -111,7 +111,6 @@ class TenantCaptureSink final : public BatchSink
   private:
     CompressedTrace &trace_;
     const std::uint64_t rebase_offset_;
-    const ReplayMode mode_;
     CacheHierarchy caches_;
     GsharePredictor predictor_;
 };
@@ -132,17 +131,12 @@ struct InterleaveResult
  * events per turn; exhausted tenants drop out of the rotation and the
  * rest keep contending until every stream is drained (so a short
  * tenant's tail pressure disappears exactly when its work does).
- *
- * @p mode selects the replay kernel per turn; like every engine knob
- * it is invisible in the statistics (turn boundaries bound coalescing
- * runs either way, and runs are pure L1-hint folds).
  */
 InterleaveResult
 interleaveReplay(const MachineConfig &machine,
                  const std::vector<TenantStream> &streams,
                  PartitionPolicy &policy,
-                 const InterleaveConfig &cfg = {},
-                 ReplayMode mode = ReplayMode::Vectorized);
+                 const InterleaveConfig &cfg = {});
 
 } // namespace dmpb
 

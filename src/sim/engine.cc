@@ -24,13 +24,13 @@ defaultSimBatchCapacity()
 namespace {
 
 /**
- * Scalar reference kernel over one contiguous event span.
+ * Replay one contiguous event span in program order.
  * @p site is advanced past the branch sites consumed.
  */
 void
-replaySpanScalar(const std::uint64_t *ev, std::size_t n,
-                 const std::uint64_t *&site, CacheHierarchy &caches,
-                 BranchPredictor &predictor)
+replaySpan(const std::uint64_t *ev, std::size_t n,
+           const std::uint64_t *&site, CacheHierarchy &caches,
+           BranchPredictor &predictor)
 {
     for (std::size_t i = 0; i < n; ++i) {
         const std::uint64_t e = ev[i];
@@ -55,122 +55,20 @@ replaySpanScalar(const std::uint64_t *ev, std::size_t n,
     }
 }
 
-/** Decode-pass chunk: 5 arrays x 256 x 8B = 10 KiB, L1-resident. */
-constexpr std::size_t kDecodeChunk = 256;
-
-/**
- * Vectorized kernel over one contiguous event span; see the
- * replayBatch() contract in engine.hh. Chunked decode pass into SoA
- * scratch, then a stateful update pass with same-line run coalescing.
- */
-void
-replaySpanVectorized(const std::uint64_t *ev, std::size_t n,
-                     const std::uint64_t *&site,
-                     CacheHierarchy &caches,
-                     BranchPredictor &predictor)
-{
-    constexpr auto kStore = static_cast<std::uint8_t>(SimOp::Store);
-    constexpr auto kIfetch = static_cast<std::uint8_t>(SimOp::Ifetch);
-    constexpr auto kTaken =
-        static_cast<std::uint8_t>(SimOp::BranchTaken);
-
-    const std::uint32_t line_shift = caches.l1d().lineShift();
-    const bool pre = caches.l1d().pow2Sets();
-    const std::uint64_t set_mask = caches.l1d().setMask();
-    const std::uint32_t set_shift = caches.l1d().setShift();
-
-    std::uint8_t op[kDecodeChunk];
-    std::uint64_t addr[kDecodeChunk];
-    std::uint64_t line[kDecodeChunk];
-    std::uint64_t set[kDecodeChunk];
-    std::uint64_t tag[kDecodeChunk];
-
-    for (std::size_t base = 0; base < n; base += kDecodeChunk) {
-        const std::size_t m = std::min(kDecodeChunk, n - base);
-        // Decode pass: pure elementwise unpacking with no model
-        // state -- one word in, three scalars out per event; the
-        // compiler auto-vectorizes these loops.
-        for (std::size_t k = 0; k < m; ++k) {
-            const std::uint64_t e = ev[base + k];
-            op[k] = static_cast<std::uint8_t>(
-                e >> AccessBatch::kOpShift);
-            const std::uint64_t a = e & AccessBatch::kAddrMask;
-            addr[k] = a;
-            line[k] = a >> line_shift;
-        }
-        if (pre) {
-            // Pow2 fast path: the L1D set index and tag fall out of
-            // two more elementwise loops, so the update pass below
-            // starts at the MRU check / tag scan directly.
-            for (std::size_t k = 0; k < m; ++k) {
-                set[k] = line[k] & set_mask;
-                tag[k] = line[k] >> set_shift;
-            }
-        }
-        // Update pass: the stateful model walk, in program order.
-        std::size_t k = 0;
-        while (k < m) {
-            const std::uint8_t o = op[k];
-            if (o <= kStore) {
-                // Same-line run coalescing: after the head access,
-                // the remaining data events on this line are L1D
-                // MRU-slot-0 hint hits by construction (the head
-                // left the line in slot 0 and nothing intervenes),
-                // so they fold into one l1dHintRun() call --
-                // bit-identical, see the header contract.
-                std::size_t j = k + 1;
-                bool tail_write = false;
-                while (j < m && op[j] <= kStore &&
-                       line[j] == line[k]) {
-                    tail_write |= op[j] == kStore;
-                    ++j;
-                }
-                if (pre)
-                    caches.dataAccessDecoded(addr[k], line[k],
-                                             set[k], tag[k],
-                                             o == kStore);
-                else
-                    caches.dataAccess(addr[k], o == kStore);
-                if (j - k > 1)
-                    caches.l1dHintRun(j - k - 1, tail_write);
-                k = j;
-            } else if (o == kIfetch) {
-                caches.instrAccess(addr[k]);
-                ++k;
-            } else {
-                predictor.record(*site++, o == kTaken);
-                ++k;
-            }
-        }
-    }
-}
-
-void
-replaySpan(const std::uint64_t *ev, std::size_t n,
-           const std::uint64_t *&site, CacheHierarchy &caches,
-           BranchPredictor &predictor, ReplayMode mode)
-{
-    if (mode == ReplayMode::Scalar)
-        replaySpanScalar(ev, n, site, caches, predictor);
-    else
-        replaySpanVectorized(ev, n, site, caches, predictor);
-}
-
 } // namespace
 
 void
 replayBatch(const AccessBatch &batch, CacheHierarchy &caches,
-            BranchPredictor &predictor, ReplayMode mode)
+            BranchPredictor &predictor)
 {
     const std::uint64_t *site = batch.sites();
-    replaySpan(batch.events(), batch.size(), site, caches, predictor,
-               mode);
+    replaySpan(batch.events(), batch.size(), site, caches, predictor);
 }
 
 std::size_t
 replayRange(const AccessBatch &batch, BatchCursor &cursor,
             std::size_t max_events, CacheHierarchy &caches,
-            BranchPredictor &predictor, ReplayMode mode)
+            BranchPredictor &predictor)
 {
     const std::size_t n = batch.size();
     if (cursor.event >= n || max_events == 0)
@@ -178,10 +76,8 @@ replayRange(const AccessBatch &batch, BatchCursor &cursor,
     const std::size_t end = std::min(n, cursor.event + max_events);
     const std::uint64_t *site = batch.sites() + cursor.site;
 
-    // Each slice is an independent span, so vectorized-mode run
-    // coalescing can never fold across a slice boundary.
     replaySpan(batch.events() + cursor.event, end - cursor.event,
-               site, caches, predictor, mode);
+               site, caches, predictor);
 
     const std::size_t consumed = end - cursor.event;
     cursor.site = static_cast<std::size_t>(site - batch.sites());
@@ -191,10 +87,9 @@ replayRange(const AccessBatch &batch, BatchCursor &cursor,
 
 AsyncReplayer::AsyncReplayer(CacheHierarchy &caches,
                              BranchPredictor &predictor,
-                             std::size_t batch_capacity,
-                             ReplayMode mode)
+                             std::size_t batch_capacity)
     : caches_(caches), predictor_(predictor),
-      batch_capacity_(batch_capacity), mode_(mode),
+      batch_capacity_(batch_capacity),
       synchronous_(std::thread::hardware_concurrency() <= 1)
 {
     if (synchronous_)
@@ -232,7 +127,7 @@ AsyncReplayer::submit(AccessBatch &batch)
                 batch_capacity_, "; recycled storage would reallocate"
                 " every submit cycle");
     if (synchronous_) {
-        replayBatch(batch, caches_, predictor_, mode_);
+        replayBatch(batch, caches_, predictor_);
         batch.clear();
         return;
     }
@@ -269,7 +164,7 @@ AsyncReplayer::workerLoop()
         // Replay outside the lock: submit() only touches inflight_
         // again after busy_ drops back to false.
         lock.unlock();
-        replayBatch(inflight_, caches_, predictor_, mode_);
+        replayBatch(inflight_, caches_, predictor_);
         inflight_.clear();
         lock.lock();
         busy_ = false;

@@ -58,30 +58,13 @@ struct ShardInterrupted : std::runtime_error
  * Load/Store walk the data hierarchy, Ifetch walks the instruction
  * path, branches update the predictor. The caller clears the batch.
  *
- * Two kernels implement this contract, selected by @p mode:
- *
- *  - ReplayMode::Scalar is the event-at-a-time reference loop.
- *
- *  - ReplayMode::Vectorized (default) walks the batch in small
- *    chunks: a decode pass unpacks op/addr and precomputes the L1D
- *    line (plus set index and tag on pow2 geometries) into SoA
- *    scratch arrays -- pure elementwise loops the compiler can
- *    vectorize -- and the stateful update pass then walks the
- *    scratch. The update pass coalesces *same-line runs*: after the
- *    first access of N consecutive data events on one cache line,
- *    the remaining N-1 are L1D MRU-slot-0 hint hits by construction
- *    (any access leaves its line in slot 0, and nothing intervenes),
- *    so they fold into CacheModel::mruHintRun(N-1, any_store) --
- *    provably bit-identical in counters and replacement state. Runs
- *    never extend past a chunk, batch, or replayRange() slice; the
- *    fold is opportunistic and exact, so truncation is harmless.
- *
- * Both kernels produce bit-identical statistics and model state for
- * every stream (state-hash-enforced by tests).
+ * One switch loop over the packed event words: the same calls, in the
+ * same order, as issuing dataAccess()/instrAccess()/record() per
+ * event, so statistics and model state are bit-identical to the
+ * unbatched path (state-hash-enforced by tests).
  */
 void replayBatch(const AccessBatch &batch, CacheHierarchy &caches,
-                 BranchPredictor &predictor,
-                 ReplayMode mode = ReplayMode::Vectorized);
+                 BranchPredictor &predictor);
 
 /**
  * Resumable position inside one AccessBatch: the next event word and
@@ -116,8 +99,7 @@ struct BatchCursor
  */
 std::size_t replayRange(const AccessBatch &batch, BatchCursor &cursor,
                         std::size_t max_events, CacheHierarchy &caches,
-                        BranchPredictor &predictor,
-                        ReplayMode mode = ReplayMode::Vectorized);
+                        BranchPredictor &predictor);
 
 /**
  * Run @p jobs to completion, at most @p shards at a time.
@@ -156,11 +138,9 @@ class AsyncReplayer
      * @param caches / @p predictor  Models; must outlive this object.
      * @param batch_capacity  Capacity of the recycled block storage
      *                        handed back by submit().
-     * @param mode  Replay kernel applied to submitted blocks.
      */
     AsyncReplayer(CacheHierarchy &caches, BranchPredictor &predictor,
-                  std::size_t batch_capacity,
-                  ReplayMode mode = ReplayMode::Vectorized);
+                  std::size_t batch_capacity);
 
     /** Joins the worker after finishing any in-flight block. */
     ~AsyncReplayer();
@@ -193,7 +173,6 @@ class AsyncReplayer
     BranchPredictor &predictor_;
     /** Capacity every submitted block must match (recycle contract). */
     std::size_t batch_capacity_;
-    ReplayMode mode_;
     /**
      * Hand-off block. Not DMPB_GUARDED_BY(mutex_): ownership follows
      * the busy_ protocol, not the lock -- the producer touches it

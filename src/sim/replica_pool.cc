@@ -7,13 +7,11 @@ namespace dmpb {
 ReplicaPool::ReplicaPool(const MachineConfig &machine,
                          std::uint32_t l3_sharers,
                          std::uint64_t sample_period,
-                         std::size_t batch_capacity,
-                         ReplayMode replay_mode)
+                         std::size_t batch_capacity)
     : machine_(machine),
       l3_sharers_(l3_sharers),
       sample_period_(sample_period),
-      batch_capacity_(batch_capacity),
-      replay_mode_(replay_mode)
+      batch_capacity_(batch_capacity)
 {
 }
 
@@ -36,7 +34,7 @@ ReplicaPool::acquire()
     return Lease(this,
                  std::make_unique<TraceContext>(
                      machine_, l3_sharers_, sample_period_,
-                     batch_capacity_, replay_mode_));
+                     batch_capacity_));
 }
 
 void

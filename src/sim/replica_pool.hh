@@ -49,8 +49,7 @@ class ReplicaPool
     ReplicaPool(const MachineConfig &machine,
                 std::uint32_t l3_sharers = 1,
                 std::uint64_t sample_period = 1,
-                std::size_t batch_capacity = 0,
-                ReplayMode replay_mode = ReplayMode::Vectorized);
+                std::size_t batch_capacity = 0);
 
     /**
      * RAII lease of one pooled context: returns it to the pool on
@@ -105,7 +104,6 @@ class ReplicaPool
     const std::uint32_t l3_sharers_;
     const std::uint64_t sample_period_;
     const std::size_t batch_capacity_;
-    const ReplayMode replay_mode_;
 
     mutable AnnotatedMutex mutex_;
     std::vector<std::unique_ptr<TraceContext>> idle_

@@ -14,8 +14,7 @@ constexpr std::uint64_t kDefaultCodeFootprint = 32 * 1024;
 TraceContext::TraceContext(const MachineConfig &machine,
                            std::uint32_t l3_sharers,
                            std::uint64_t sample_period,
-                           std::size_t batch_capacity,
-                           ReplayMode replay_mode)
+                           std::size_t batch_capacity)
     : machine_(machine),
       caches_(std::make_unique<CacheHierarchy>(machine.caches,
                                                l3_sharers)),
@@ -26,8 +25,7 @@ TraceContext::TraceContext(const MachineConfig &machine,
       sample_period_(sample_period == 0 ? 1 : sample_period),
       l3_sharers_(l3_sharers),
       batch_capacity_(batch_capacity == 0 ? defaultSimBatchCapacity()
-                                          : batch_capacity),
-      replay_mode_(replay_mode)
+                                          : batch_capacity)
 {
     dmpb_assert(line_bytes_ > 0, "bad line size");
     if (batch_capacity_ > 1)

@@ -53,21 +53,16 @@ class TraceContext
      *                    cache model (counters are scaled back up in
      *                    profile()); 1 = full trace.
      * @param batch_capacity Events buffered before a batched replay
-     *                    flush; 0 = auto (host-adapted), 1 selects
-     *                    the unbatched scalar path. Either way the
-     *                    models see the same event sequence, so all
-     *                    statistics are bit-identical across
-     *                    capacities.
-     * @param replay_mode Replay kernel for batched flushes (see
-     *                    ReplayMode); another pure wall-clock knob,
-     *                    invisible in every statistic.
+     *                    flush (replayBatch(), sim/engine.hh);
+     *                    0 = auto (host-adapted), 1 selects the
+     *                    unbatched path. Either way the models see
+     *                    the same event sequence, so all statistics
+     *                    are bit-identical across capacities.
      */
     explicit TraceContext(const MachineConfig &machine,
                           std::uint32_t l3_sharers = 1,
                           std::uint64_t sample_period = 1,
-                          std::size_t batch_capacity = 0,
-                          ReplayMode replay_mode =
-                              ReplayMode::Vectorized);
+                          std::size_t batch_capacity = 0);
 
     /** Set the static code footprint (bytes) for i-fetch modelling. */
     void setCodeFootprint(std::uint64_t bytes);
@@ -87,7 +82,7 @@ class TraceContext
     replica() const
     {
         TraceContext ctx(machine_, l3_sharers_, sample_period_,
-                         batch_capacity_, replay_mode_);
+                         batch_capacity_);
         ctx.setCodeFootprint(code_footprint_);
         return ctx;
     }
@@ -309,7 +304,7 @@ class TraceContext
                 replayer_->submit(batch_);
             replayer_->drain();
         } else if (!batch_.empty()) {
-            caches_->replay(batch_, *predictor_, replay_mode_);
+            replayBatch(batch_, *caches_, *predictor_);
             batch_.clear();
         }
     }
@@ -339,7 +334,7 @@ class TraceContext
 
   private:
     /** @{ Batched event emission (sim/access_batch.hh). A capacity
-     *  of <= 1 is the scalar path: events drive the models directly,
+     *  of <= 1 is the unbatched path: events drive the models directly,
      *  in the identical order a batch replay would. Full blocks are
      *  handed to the AsyncReplayer, which replays them in submission
      *  order while the kernel keeps running -- same model inputs in
@@ -354,8 +349,7 @@ class TraceContext
         }
         if (!replayer_) {
             replayer_ = std::make_unique<AsyncReplayer>(
-                *caches_, *predictor_, batch_capacity_,
-                replay_mode_);
+                *caches_, *predictor_, batch_capacity_);
         }
         replayer_->submit(batch_);
     }
@@ -535,7 +529,6 @@ class TraceContext
     /** Pending events; mutable so the const profile() can flush. */
     mutable AccessBatch batch_;
     std::size_t batch_capacity_;
-    ReplayMode replay_mode_;
     /** Lazily started once the first block fills; declared after the
      *  models so it joins its worker before they are destroyed. */
     mutable std::unique_ptr<AsyncReplayer> replayer_;

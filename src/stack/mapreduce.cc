@@ -39,7 +39,7 @@ sampleTask(const ClusterConfig &cluster, const MapReduceJob &job,
     // One task runs on one core; every core of the node is busy in a
     // full wave, so the LLC is shared by all of them.
     TraceContext ctx(cluster.node, cluster.node.totalCores(), 1,
-                     cluster.sim.batch_capacity, cluster.sim.replay);
+                     cluster.sim.batch_capacity);
     ctx.setCodeFootprint(job.code_footprint);
     // Scale the young generation with the sample so GC frequency per
     // processed byte matches the logical task.

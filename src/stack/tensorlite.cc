@@ -574,8 +574,7 @@ TensorEngine::run(const TrainJob &job) const
     // inception-branch replicas share construction parameters, so a
     // finished branch context is immediately reusable by the next
     // image (or branch) job.
-    ReplicaPool pool(cluster_.node, cores, 1, sim.batch_capacity,
-                     sim.replay);
+    ReplicaPool pool(cluster_.node, cores, 1, sim.batch_capacity);
     std::vector<KernelProfile> image_profiles(sample_batch);
     std::vector<std::function<void()>> image_jobs;
     image_jobs.reserve(sample_batch);

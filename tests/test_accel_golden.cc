@@ -7,9 +7,9 @@
  * The fingerprint extends the CPU golden serialization with the
  * accel_macs / accel_cycles counters, so any drift in the systolic
  * tiling, DMA burst shaping, or array-cycle accounting fails here with
- * a diff-ready table. The engine knobs (--sim-shards, --sim-batch,
- * --sim-replay) remain pure wall-clock controls on the accelerator
- * path too: every combination must fingerprint bit-identically.
+ * a diff-ready table. The engine knobs (--sim-shards, --sim-batch)
+ * remain pure wall-clock controls on the accelerator path too: every
+ * combination must fingerprint bit-identically.
  *
  * Intentional model changes update the pinned table: run the suite
  * and copy the regeneration block it prints on mismatch.
@@ -96,9 +96,9 @@ struct Measured
 {
     std::string name;
     std::uint64_t accel_macs;
-    /** shards {1,4} x replay {vector,scalar}, plus the unbatched
-     *  scalar engine (--sim-batch 1); canonical combo first. */
-    std::uint64_t fp[5];
+    /** shards {1,4} x batch {auto, 1 = unbatched}; canonical combo
+     *  first. */
+    std::uint64_t fp[4];
 };
 
 Measured
@@ -109,24 +109,16 @@ measure(const std::string &name)
     struct Combo
     {
         std::size_t shards;
-        ReplayMode replay;
         std::size_t batch;
     };
-    const Combo combos[5] = {
-        {1, ReplayMode::Vectorized, 0},
-        {1, ReplayMode::Scalar, 0},
-        {4, ReplayMode::Vectorized, 0},
-        {4, ReplayMode::Scalar, 0},
-        {4, ReplayMode::Vectorized, 1},
-    };
-    for (std::size_t slot = 0; slot < 5; ++slot) {
+    const Combo combos[4] = {{1, 0}, {1, 1}, {4, 0}, {4, 1}};
+    for (std::size_t slot = 0; slot < 4; ++slot) {
         WorkloadSpec spec;
         spec.name = name;
         spec.scale = Scale::Quick;
         auto workload = WorkloadRegistry::instance().make(spec);
         ClusterConfig cluster = accelCluster3();
         cluster.sim.shards = combos[slot].shards;
-        cluster.sim.replay = combos[slot].replay;
         cluster.sim.batch_capacity = combos[slot].batch;
         WorkloadResult r = workload->run(cluster);
         if (slot == 0)
@@ -176,10 +168,10 @@ TEST(AccelGolden, EveryAiWorkloadRunsOnTheArray)
 TEST(AccelGolden, FingerprintsBitIdenticalAcrossEngineKnobs)
 {
     for (const Measured &m : allMeasured()) {
-        for (std::size_t i = 1; i < 5; ++i) {
+        for (std::size_t i = 1; i < 4; ++i) {
             EXPECT_EQ(m.fp[0], m.fp[i])
-                << m.name << ": shards/replay/batch combination " << i
-                << " diverged from the serial vectorized path";
+                << m.name << ": shards/batch combination " << i
+                << " diverged from the serial batched path";
         }
     }
 }

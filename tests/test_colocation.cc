@@ -470,8 +470,7 @@ TEST(Interleaver, BlockChunkingIsInvisible)
 /** The isolated baseline as a second pass over a finished stream:
  *  decode in capture-block-sized chunks into a fresh hierarchy. */
 TenantReplayStats
-replayDecoded(const CompressedTrace &trace, const MachineConfig &machine,
-              ReplayMode mode)
+replayDecoded(const CompressedTrace &trace, const MachineConfig &machine)
 {
     CacheHierarchy caches(machine.caches, 1);
     GsharePredictor predictor(machine.predictor.table_bits,
@@ -479,7 +478,7 @@ replayDecoded(const CompressedTrace &trace, const MachineConfig &machine,
     CompressedTrace::Cursor cursor(trace);
     AccessBatch scratch;
     while (cursor.decode(scratch, kCaptureBlockEvents) > 0)
-        replayBatch(scratch, caches, predictor, mode);
+        replayBatch(scratch, caches, predictor);
     TenantReplayStats st;
     st.l1i = caches.l1i().stats();
     st.l1d = caches.l1d().stats();
@@ -497,23 +496,15 @@ TEST(TenantCaptureSink, FusedReplayEqualsReplayOfDecodedStream)
     MotifParams p;
     p.data_size = 256 * 1024;
     p.chunk_size = 64 * 1024;
-    const ReplayMode modes[2] = {ReplayMode::Scalar,
-                                 ReplayMode::Vectorized};
-    TenantReplayStats fused[2];
-    for (int v = 0; v < 2; ++v) {
-        CompressedTrace trace;
-        TenantCaptureSink sink(trace, machine, 1ULL << 45, modes[v]);
-        TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
-        ctx.setCaptureSink(&sink);
-        motif->run(ctx, p);
-        ctx.profile();  // flushes the final partial block
-        ASSERT_GT(trace.events(), 2 * kCaptureBlockEvents);
-        ASSERT_GT(trace.branchEvents(), 0u);
-        fused[v] = sink.isolatedStats();
-        expectSameStats(fused[v],
-                        replayDecoded(trace, machine, modes[v]));
-    }
-    expectSameStats(fused[0], fused[1]);
+    CompressedTrace trace;
+    TenantCaptureSink sink(trace, machine, 1ULL << 45);
+    TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
+    ctx.setCaptureSink(&sink);
+    motif->run(ctx, p);
+    ctx.profile();  // flushes the final partial block
+    ASSERT_GT(trace.events(), 2 * kCaptureBlockEvents);
+    ASSERT_GT(trace.branchEvents(), 0u);
+    expectSameStats(sink.isolatedStats(), replayDecoded(trace, machine));
 }
 
 TEST(Interleaver, ExhaustedTenantDropsOutAndRestFinish)

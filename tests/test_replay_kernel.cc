@@ -1,14 +1,17 @@
 /**
  * @file
- * Equivalence tests for the vectorized replay kernel, its run
- * coalescing, the AsyncReplayer recycle contract and the ReplicaPool
- * reset contract. Every vectorized-vs-scalar comparison asserts
- * *state* identity (stateHashForTest), not just counters: two models
- * with equal digests have byte-identical future behaviour.
+ * Equivalence tests for the batched replay loop (replayBatch,
+ * replayRange), the AsyncReplayer recycle contract and the
+ * ReplicaPool reset contract. The reference is written here, not in
+ * src/: every event is applied through dataAccess()/instrAccess()/
+ * record() one at a time. Every batched-vs-reference comparison
+ * asserts *state* identity (stateHashForTest), not just counters:
+ * two models with equal digests have byte-identical future behaviour.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <set>
@@ -34,48 +37,115 @@ smallHierarchy()
             {"L3", 512 * 1024, 8, 64}};
 }
 
-/** Pair of model sets fed identical streams through the two kernels. */
+/** One unpacked simulation event: the reference loop's input. */
+struct Event
+{
+    SimOp op;
+    std::uint64_t addr;  ///< memory events
+    std::uint64_t site;  ///< branch events
+};
+
+/** Pack @p events into one AccessBatch, in order. */
+AccessBatch
+toBatch(const std::vector<Event> &events)
+{
+    AccessBatch b;
+    b.reserve(events.size());
+    for (const Event &e : events) {
+        switch (e.op) {
+          case SimOp::Load:
+          case SimOp::Store:
+            b.pushData(e.addr, e.op == SimOp::Store);
+            break;
+          case SimOp::Ifetch:
+            b.pushIfetch(e.addr);
+            break;
+          case SimOp::BranchTaken:
+          case SimOp::BranchNotTaken:
+            b.pushBranch(e.site, e.op == SimOp::BranchTaken);
+            break;
+        }
+    }
+    return b;
+}
+
+/** The reference: drive the models with one event. */
+void
+applyEvent(const Event &e, CacheHierarchy &caches,
+           BranchPredictor &predictor)
+{
+    switch (e.op) {
+      case SimOp::Load:
+        caches.dataAccess(e.addr, false);
+        break;
+      case SimOp::Store:
+        caches.dataAccess(e.addr, true);
+        break;
+      case SimOp::Ifetch:
+        caches.instrAccess(e.addr);
+        break;
+      case SimOp::BranchTaken:
+        predictor.record(e.site, true);
+        break;
+      case SimOp::BranchNotTaken:
+        predictor.record(e.site, false);
+        break;
+    }
+}
+
+void
+replayPerEvent(const std::vector<Event> &events,
+               CacheHierarchy &caches, BranchPredictor &predictor)
+{
+    for (const Event &e : events)
+        applyEvent(e, caches, predictor);
+}
+
+void
+expectSameStats(const CacheStats &a, const CacheStats &b)
+{
+    EXPECT_EQ(a.accesses, b.accesses);
+    EXPECT_EQ(a.misses, b.misses);
+    EXPECT_EQ(a.writebacks, b.writebacks);
+}
+
+/** Pair of model sets: per-event reference vs batched replay. */
 struct ModelPair
 {
-    CacheHierarchy scalar;
-    CacheHierarchy vectorized;
-    GsharePredictor scalar_pred{10, 8};
-    GsharePredictor vector_pred{10, 8};
+    CacheHierarchy reference;
+    CacheHierarchy batched;
+    GsharePredictor reference_pred{10, 8};
+    GsharePredictor batched_pred{10, 8};
 
-    ModelPair() : scalar(smallHierarchy()), vectorized(smallHierarchy())
+    ModelPair() : reference(smallHierarchy()), batched(smallHierarchy())
     {}
 
     void
     expectSameState() const
     {
-        EXPECT_EQ(scalar.stateHashForTest(),
-                  vectorized.stateHashForTest());
-        const auto eq = [](const CacheStats &a, const CacheStats &b) {
-            EXPECT_EQ(a.accesses, b.accesses);
-            EXPECT_EQ(a.misses, b.misses);
-            EXPECT_EQ(a.writebacks, b.writebacks);
-        };
-        eq(scalar.l1i().stats(), vectorized.l1i().stats());
-        eq(scalar.l1d().stats(), vectorized.l1d().stats());
-        eq(scalar.l2().stats(), vectorized.l2().stats());
-        eq(scalar.l3Stats(), vectorized.l3Stats());
-        EXPECT_EQ(scalar_pred.stats().branches,
-                  vector_pred.stats().branches);
-        EXPECT_EQ(scalar_pred.stats().mispredicts,
-                  vector_pred.stats().mispredicts);
+        EXPECT_EQ(reference.stateHashForTest(),
+                  batched.stateHashForTest());
+        expectSameStats(reference.l1i().stats(), batched.l1i().stats());
+        expectSameStats(reference.l1d().stats(), batched.l1d().stats());
+        expectSameStats(reference.l2().stats(), batched.l2().stats());
+        expectSameStats(reference.l3Stats(), batched.l3Stats());
+        EXPECT_EQ(reference_pred.stats().branches,
+                  batched_pred.stats().branches);
+        EXPECT_EQ(reference_pred.stats().mispredicts,
+                  batched_pred.stats().mispredicts);
     }
 };
 
 /**
  * Random event stream biased toward same-line runs (repeat the last
- * data address with high probability) so coalescing actually fires,
- * with stores mixed in to exercise dirty-bit folding.
+ * data address with high probability), with stores mixed in mid-run
+ * and branches and instruction fetches interleaved.
  */
-AccessBatch
-runHeavyBatch(std::uint64_t seed, std::size_t events)
+std::vector<Event>
+runHeavyStream(std::uint64_t seed, std::size_t events)
 {
-    AccessBatch b;
-    b.reserve(events);
+    std::vector<Event> out;
+    out.reserve(events);
     Rng rng(seed);
     std::uint64_t addr = 0x200000000000ULL;
     for (std::size_t i = 0; i < events; ++i) {
@@ -83,40 +153,41 @@ runHeavyBatch(std::uint64_t seed, std::size_t events)
         switch (r % 16) {
           case 0:
             addr = 0x200000000000ULL + ((r >> 16) % 32768) * 64;
-            b.pushData(addr, false);
+            out.push_back({SimOp::Load, addr, 0});
             break;
           case 1:
-            b.pushIfetch(0x1000 + (r % 2048));
+            out.push_back({SimOp::Ifetch, 0x1000 + (r % 2048), 0});
             break;
           case 2:
-            b.pushBranch(r | 1, (r & 2) != 0);
+            out.push_back({(r & 2) != 0 ? SimOp::BranchTaken
+                                        : SimOp::BranchNotTaken,
+                           0, r | 1});
             break;
           case 3:
             addr += 64;  // next line: breaks the run
-            b.pushData(addr, (r & 4) != 0);
+            out.push_back(
+                {(r & 4) != 0 ? SimOp::Store : SimOp::Load, addr, 0});
             break;
           default:
-            // Same line again -- the coalescible case, sometimes a
-            // store (dirty-bit mid-run) and sometimes a different
-            // offset within the line.
-            b.pushData(addr + (r % 64), (r & 8) != 0);
+            // Same line again, sometimes a store (dirty bit mid-run)
+            // and sometimes a different offset within the line.
+            out.push_back({(r & 8) != 0 ? SimOp::Store : SimOp::Load,
+                           addr + (r % 64), 0});
             break;
         }
     }
-    return b;
+    return out;
 }
 
-TEST(ReplayKernel, VectorizedMatchesScalarOnRandomStreams)
+TEST(ReplayKernel, BatchedMatchesPerEventOnRandomStreams)
 {
     for (std::uint64_t seed : {5ULL, 17ULL, 1234ULL}) {
         ModelPair m;
         for (int block = 0; block < 4; ++block) {
-            AccessBatch b =
-                runHeavyBatch(seed + 1000 * block, 8192);
-            replayBatch(b, m.scalar, m.scalar_pred,
-                        ReplayMode::Scalar);
-            replayBatch(b, m.vectorized, m.vector_pred,
-                        ReplayMode::Vectorized);
+            const std::vector<Event> events =
+                runHeavyStream(seed + 1000 * block, 8192);
+            replayPerEvent(events, m.reference, m.reference_pred);
+            replayBatch(toBatch(events), m.batched, m.batched_pred);
             m.expectSameState();
         }
     }
@@ -124,48 +195,45 @@ TEST(ReplayKernel, VectorizedMatchesScalarOnRandomStreams)
 
 TEST(ReplayKernel, DirtyBitMidRunSurvivesToWriteback)
 {
-    // A store buried in the middle of a coalesced same-line run must
-    // set the dirty bit, so the line's eventual eviction is a
-    // writeback -- in both kernels, with identical state.
+    // A store buried in the middle of a same-line run must set the
+    // dirty bit, so the line's eventual eviction is a writeback --
+    // batched and per-event alike, with identical state.
     ModelPair m;
-    AccessBatch b;
+    std::vector<Event> events;
     // Walk size: 4 MiB of distinct lines -- far beyond the 512 KiB
     // L3 -- guarantees line_a is evicted from every level.
     const std::uint64_t walk_lines = 4ULL * 1024 * 1024 / 64;
-    b.reserve(16 + walk_lines);
     // Run of 9 accesses on one line, single store mid-run.
     const std::uint64_t line_a = 0x200000000000ULL;
-    for (int i = 0; i < 4; ++i)
-        b.pushData(line_a + i, false);
-    b.pushData(line_a + 32, true);  // the mid-run store
-    for (int i = 0; i < 4; ++i)
-        b.pushData(line_a + 40 + i, false);
+    for (std::uint64_t i = 0; i < 4; ++i)
+        events.push_back({SimOp::Load, line_a + i, 0});
+    events.push_back({SimOp::Store, line_a + 32, 0});  // mid-run
+    for (std::uint64_t i = 0; i < 4; ++i)
+        events.push_back({SimOp::Load, line_a + 40 + i, 0});
     for (std::uint64_t n = 1; n <= walk_lines; ++n)
-        b.pushData(line_a + 64 * n, false);
-    replayBatch(b, m.scalar, m.scalar_pred, ReplayMode::Scalar);
-    replayBatch(b, m.vectorized, m.vector_pred,
-                ReplayMode::Vectorized);
+        events.push_back({SimOp::Load, line_a + 64 * n, 0});
+    replayPerEvent(events, m.reference, m.reference_pred);
+    replayBatch(toBatch(events), m.batched, m.batched_pred);
     m.expectSameState();
     // The dirty line produced at least one writeback somewhere.
-    EXPECT_GE(m.vectorized.l1d().stats().writebacks +
-                  m.vectorized.l2().stats().writebacks +
-                  m.vectorized.l3Stats().writebacks,
+    EXPECT_GE(m.batched.l1d().stats().writebacks +
+                  m.batched.l2().stats().writebacks +
+                  m.batched.l3Stats().writebacks,
               1u);
 }
 
 TEST(ReplayKernel, SlicedReplayRangeMatchesWholeBatchReplay)
 {
-    // Runs must not coalesce across replayRange() slices; slicing at
-    // any granularity -- including mid-run -- must reproduce the
-    // whole-batch replay bit for bit, in both kernels.
-    AccessBatch b = runHeavyBatch(77, 10007);
+    // Slicing at any granularity -- including mid-run -- must
+    // reproduce the whole-batch replay bit for bit.
+    const AccessBatch b = toBatch(runHeavyStream(77, 10007));
     for (std::size_t slice : {std::size_t{1}, std::size_t{3},
                               std::size_t{250}, std::size_t{4096}}) {
         ModelPair m;
-        replayBatch(b, m.scalar, m.scalar_pred, ReplayMode::Scalar);
+        replayBatch(b, m.reference, m.reference_pred);
         BatchCursor cur;
-        while (replayRange(b, cur, slice, m.vectorized, m.vector_pred,
-                           ReplayMode::Vectorized) > 0) {
+        while (replayRange(b, cur, slice, m.batched, m.batched_pred) >
+               0) {
         }
         EXPECT_TRUE(cur.done(b));
         m.expectSameState();
@@ -175,11 +243,20 @@ TEST(ReplayKernel, SlicedReplayRangeMatchesWholeBatchReplay)
 TEST(ReplayKernel, WayMaskedSharedL3SeesIdenticalContention)
 {
     // Two tenants with asymmetric way masks contending for one
-    // SharedL3: the coalesced kernel must reproduce the scalar
-    // kernel's shared-cache state exactly (hint-run folds never touch
-    // the L3, masked or not).
-    CacheHierarchy::Params geo = smallHierarchy();
-    auto run = [&](ReplayMode mode) {
+    // SharedL3: interleaved replayRange() turns must reproduce the
+    // per-event reference's shared-cache state exactly.
+    const CacheHierarchy::Params geo = smallHierarchy();
+    const std::vector<Event> e0 = runHeavyStream(101, 4096);
+    const std::vector<Event> e1 = runHeavyStream(202, 4096);
+    constexpr std::size_t kTurn = 257;
+    struct Digest
+    {
+        std::uint64_t h0;
+        std::uint64_t h1;
+        CacheStats t0;
+        CacheStats t1;
+    };
+    auto run = [&](bool batched) {
         auto shared = std::make_unique<SharedL3>(geo.l3, 2);
         shared->setWayMask(0, 0x03);  // 2 of 8 ways
         shared->setWayMask(1, 0xfc);  // the other 6
@@ -187,35 +264,37 @@ TEST(ReplayKernel, WayMaskedSharedL3SeesIdenticalContention)
         CacheHierarchy h1(geo, *shared, 1);
         GsharePredictor p0(10, 8);
         GsharePredictor p1(10, 8);
-        AccessBatch b0 = runHeavyBatch(101, 4096);
-        AccessBatch b1 = runHeavyBatch(202, 4096);
-        // Interleave turns, like the co-location interleaver.
-        BatchCursor c0;
-        BatchCursor c1;
-        while (!c0.done(b0) || !c1.done(b1)) {
-            replayRange(b0, c0, 257, h0, p0, mode);
-            replayRange(b1, c1, 257, h1, p1, mode);
+        if (batched) {
+            // Interleave turns, like the co-location interleaver.
+            const AccessBatch b0 = toBatch(e0);
+            const AccessBatch b1 = toBatch(e1);
+            BatchCursor c0;
+            BatchCursor c1;
+            while (!c0.done(b0) || !c1.done(b1)) {
+                replayRange(b0, c0, kTurn, h0, p0);
+                replayRange(b1, c1, kTurn, h1, p1);
+            }
+        } else {
+            // The same turn order, one event at a time.
+            for (std::size_t at = 0; at < e0.size() || at < e1.size();
+                 at += kTurn) {
+                for (std::size_t i = at;
+                     i < std::min(at + kTurn, e0.size()); ++i)
+                    applyEvent(e0[i], h0, p0);
+                for (std::size_t i = at;
+                     i < std::min(at + kTurn, e1.size()); ++i)
+                    applyEvent(e1[i], h1, p1);
+            }
         }
-        struct Digest
-        {
-            std::uint64_t h0;
-            std::uint64_t h1;
-            CacheStats t0;
-            CacheStats t1;
-        };
         return Digest{h0.stateHashForTest(), h1.stateHashForTest(),
                       shared->tenantStats(0), shared->tenantStats(1)};
     };
-    auto scalar = run(ReplayMode::Scalar);
-    auto vectorized = run(ReplayMode::Vectorized);
-    EXPECT_EQ(scalar.h0, vectorized.h0);
-    EXPECT_EQ(scalar.h1, vectorized.h1);
-    EXPECT_EQ(scalar.t0.accesses, vectorized.t0.accesses);
-    EXPECT_EQ(scalar.t0.misses, vectorized.t0.misses);
-    EXPECT_EQ(scalar.t0.writebacks, vectorized.t0.writebacks);
-    EXPECT_EQ(scalar.t1.accesses, vectorized.t1.accesses);
-    EXPECT_EQ(scalar.t1.misses, vectorized.t1.misses);
-    EXPECT_EQ(scalar.t1.writebacks, vectorized.t1.writebacks);
+    const Digest reference = run(false);
+    const Digest batched = run(true);
+    EXPECT_EQ(reference.h0, batched.h0);
+    EXPECT_EQ(reference.h1, batched.h1);
+    expectSameStats(reference.t0, batched.t0);
+    expectSameStats(reference.t1, batched.t1);
 }
 
 // ---------------------------------------------------------------------------

@@ -262,22 +262,6 @@ TEST_F(RunnerTest, DoubleFlagRejectsGarbageInfNan)
                     {"--timeout"});
 }
 
-TEST_F(RunnerTest, ReplayModeFlagParsesAndRejectsNamingOptions)
-{
-    EXPECT_EQ(cli::parseReplayModeFlag("--sim-replay", "vector"),
-              ReplayMode::Vectorized);
-    EXPECT_EQ(cli::parseReplayModeFlag("--sim-replay", "scalar"),
-              ReplayMode::Scalar);
-    // Unknown enum values fail fast like unknown workloads/policies:
-    // std::invalid_argument naming the offender and the valid set.
-    expectFlagError(
-        [] { cli::parseReplayModeFlag("--sim-replay", "turbo"); },
-        {"turbo", "--sim-replay", "vector", "scalar"});
-    expectFlagError(
-        [] { cli::parseReplayModeFlag("--sim-replay", "Vector"); },
-        {"Vector"});
-}
-
 TEST_F(RunnerTest, ClusterByNameResolvesAndRejectsNamingOptions)
 {
     EXPECT_EQ(clusterByName("paper5").node.name,

@@ -4,15 +4,17 @@
  * a real Server on a real Unix socket, driven by a raw NDJSON client.
  * Covers the immediate commands, run responses (and their parseable
  * result payload), back-pressure rejections when the admission queue
- * is full, error responses with recovered ids, graceful shutdown
- * draining admitted work, and the loadgen harness against a live
- * daemon. Part of the CI TSan job: the daemon is the repo's most
+ * is full, error responses with recovered ids, request lines trickled
+ * a byte at a time or sent without a newline past the line cap,
+ * graceful shutdown draining admitted work, and the loadgen harness
+ * against a live daemon. Part of the CI TSan job: the daemon is the repo's most
  * thread-dense subsystem.
  */
 
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -93,14 +95,26 @@ class TestClient
         return false;
     }
 
-    bool
-    send(const std::string &line)
+    /** Make recvLine() fail after @p seconds without data instead of
+     *  blocking forever. */
+    void
+    setRecvTimeout(int seconds)
     {
-        std::string framed = line + "\n";
+        timeval tv{};
+        tv.tv_sec = seconds;
+        ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    }
+
+    bool send(const std::string &line) { return sendRaw(line + "\n"); }
+
+    /** Send @p bytes as they are, without a framing newline. */
+    bool
+    sendRaw(const std::string &bytes)
+    {
         std::size_t sent = 0;
-        while (sent < framed.size()) {
-            ssize_t n = ::send(fd_, framed.data() + sent,
-                               framed.size() - sent, MSG_NOSIGNAL);
+        while (sent < bytes.size()) {
+            ssize_t n = ::send(fd_, bytes.data() + sent,
+                               bytes.size() - sent, MSG_NOSIGNAL);
             if (n <= 0)
                 return false;
             sent += static_cast<std::size_t>(n);
@@ -276,6 +290,64 @@ TEST_F(ServeTest, MalformedRequestsGetCorrelatedErrors)
     EXPECT_TRUE(unknown.find("ok")->asBool());
     EXPECT_EQ(unknown.find("result")->find("status")->asString(),
               "failed");
+}
+
+TEST_F(ServeTest, RequestSentOneByteAtATimeGetsOneResponse)
+{
+    ServeOptions options;
+    options.socket_path = testSocketPath();
+    ServerFixture fixture(options);
+
+    TestClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+
+    // One send() per byte: the reader sees the line in 1-byte pieces
+    // and must still assemble exactly one request from them.
+    for (char c : std::string("{\"cmd\":\"ping\",\"id\":42}\n"))
+        ASSERT_TRUE(client.sendRaw(std::string(1, c)));
+    JsonValue pong;
+    std::string line;
+    ASSERT_TRUE(client.recvLine(line));
+    ASSERT_TRUE(JsonValue::parse(line, pong)) << line;
+    EXPECT_EQ(pong.find("id")->asU64(), 42u);
+    EXPECT_TRUE(pong.find("pong")->asBool());
+
+    // Exactly one response: the next line answers the next request.
+    JsonValue next;
+    ASSERT_TRUE(client.rpc("{\"cmd\":\"ping\",\"id\":43}", next));
+    EXPECT_EQ(next.find("id")->asU64(), 43u);
+}
+
+TEST_F(ServeTest, OverlongRequestLineIsRejectedAndConnectionClosed)
+{
+    ServeOptions options;
+    options.socket_path = testSocketPath();
+    ServerFixture fixture(options);
+
+    TestClient hostile;
+    ASSERT_TRUE(hostile.connect(options.socket_path));
+    hostile.setRecvTimeout(30);
+    // Twice the cap, no newline. The daemon hangs up mid-stream, so
+    // the send itself may fail with EPIPE; only the replies matter.
+    hostile.sendRaw(std::string(2 * kMaxRequestLineBytes, 'x'));
+    std::string line;
+    ASSERT_TRUE(hostile.recvLine(line));
+    JsonValue error;
+    ASSERT_TRUE(JsonValue::parse(line, error)) << line;
+    EXPECT_FALSE(error.find("ok")->asBool());
+    EXPECT_NE(error.find("error")->asString().find(
+                  std::to_string(kMaxRequestLineBytes)),
+              std::string::npos)
+        << line;
+    EXPECT_FALSE(hostile.recvLine(line)) << "expected EOF, got " << line;
+
+    // The daemon itself is unharmed.
+    TestClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+    JsonValue pong;
+    ASSERT_TRUE(client.rpc("{\"cmd\":\"ping\",\"id\":1}", pong));
+    EXPECT_TRUE(pong.find("pong")->asBool());
+    EXPECT_EQ(fixture.server().stats().errors, 1u);
 }
 
 TEST_F(ServeTest, FullQueueRejectsWithBackPressure)
