@@ -53,8 +53,6 @@ struct TunerConfig
     std::uint32_t max_iterations = 12;
     /** One-at-a-time samples per parameter in the impact analysis. */
     std::uint32_t impact_samples = 2;
-    /** Refit the trees after this many feedback samples. */
-    std::uint32_t refit_every = 4;
     /** Per-edge traced-byte cap for proxy evaluations. */
     std::uint64_t trace_cap = 2 * 1024 * 1024;
     std::uint64_t seed = 99;

@@ -17,8 +17,6 @@
 #include "sim/compressed_trace.hh"
 #include "sim/engine.hh"
 #include "sim/trace.hh"
-#include "stack/managed_heap.hh"
-#include "stack/stack_overhead.hh"
 
 namespace dmpb {
 
@@ -43,19 +41,6 @@ captureTraceCap(Scale scale)
     return 2ULL * 1024 * 1024;
 }
 
-/** Bytes one AI-motif invocation processes with parameters @p p
- *  (mirrors the proxy executor's extrapolation basis). */
-std::uint64_t
-aiBytesPerRun(const MotifParams &p)
-{
-    std::uint64_t batch = std::max<std::uint32_t>(1, p.batch_size);
-    std::uint64_t per_sample = 4ULL *
-                               std::max<std::uint32_t>(1, p.channels) *
-                               std::max<std::uint32_t>(1, p.height) *
-                               std::max<std::uint32_t>(1, p.width);
-    return batch * per_sample;
-}
-
 /** Everything captured and replayed for one tenant. */
 struct TenantWork
 {
@@ -73,11 +58,12 @@ struct TenantWork
  * replay it, block by block as it is captured, into the isolated
  * baseline (TenantCaptureSink).
  *
- * Mirrors ProxyBenchmark::execute's per-edge parameterisation (seed
- * derivation, working-set bounding, chunk clamping, code footprint,
- * memory-management work) but runs every edge sequentially into ONE
- * capture-sink context: the tenant is one hardware context on the
- * shared node, so its edges form a single program-ordered stream.
+ * Traces the same per-edge runs as ProxyBenchmark::execute
+ * (ProxyBenchmark::edgeRun: seed derivation, working-set bounding,
+ * chunk clamping, memory-management work) but runs every edge
+ * sequentially into ONE capture-sink context: the tenant is one
+ * hardware context on the shared node, so its edges form a single
+ * program-ordered stream.
  * No weight/task extrapolation is applied -- the captured trace (one
  * pass over each edge's bounded working set) IS the tenant's
  * execution window, replayed verbatim under both arrangements.
@@ -87,46 +73,14 @@ captureTenant(TenantWork &work, const ProxyBenchmark &proxy,
               const MachineConfig &machine, Scale scale,
               std::uint64_t rebase_offset)
 {
-    const MotifParams &base = proxy.baseParams();
-    const std::uint32_t tasks =
-        std::max<std::uint32_t>(1, base.num_tasks);
-    const std::uint64_t trace_cap = captureTraceCap(scale);
-    const std::uint64_t working_set = std::max<std::uint64_t>(
-        64 * 1024,
-        std::min<std::uint64_t>(base.data_size / tasks, trace_cap));
-
     TenantCaptureSink sink(work.stream.trace, machine, rebase_offset);
     TraceContext ctx(machine, 1, 1, kCaptureBlockEvents);
     ctx.setCaptureSink(&sink);
     ctx.setCodeFootprint(48 * 1024);
 
-    const std::vector<ProxyEdge> &edges = proxy.edges();
-    for (std::size_t ei = 0; ei < edges.size(); ++ei) {
-        const ProxyEdge &edge = edges[ei];
-        MotifParams p = base;
-        p.seed = base.seed ^ mix64(ei + 1);
-        std::uint64_t traced_bytes;
-        if (edge.motif->isAi()) {
-            // One batch per traced run, exactly like the pipeline.
-            p.total_size = 0;
-            traced_bytes = aiBytesPerRun(p);
-        } else {
-            p.data_size = working_set;
-            p.chunk_size = std::min<std::uint64_t>(p.chunk_size,
-                                                   p.data_size);
-            traced_bytes = p.data_size;
-        }
-        edge.motif->run(ctx, p);
-        if (proxy.gcIntensity() > 0.0) {
-            ManagedHeap heap(ctx,
-                             std::max<std::uint64_t>(64 * 1024,
-                                                     working_set / 8));
-            Rng mgmt_rng(p.seed ^ 0x6c6cULL);
-            stackManagementWork(ctx, heap, mgmt_rng, traced_bytes,
-                                proxy.gcIntensity());
-            heap.collect();
-        }
-    }
+    const std::uint64_t trace_cap = captureTraceCap(scale);
+    for (std::size_t ei = 0; ei < proxy.edges().size(); ++ei)
+        proxy.edgeRun(ei, trace_cap).trace(ctx);
     // Flushes the final partial block into the sink and snapshots the
     // trace-level counters (the model stats inside are all zero).
     work.captured = ctx.profile();

@@ -17,19 +17,16 @@ namespace dmpb {
 
 namespace {
 
-/** Bytes one AI-motif invocation processes with parameters @p p. */
+/** Bytes one batch of an AI motif processes with parameters @p p. */
 std::uint64_t
-aiBytesPerRun(const MotifParams &p)
+aiBytesPerBatch(const MotifParams &p)
 {
     std::uint64_t batch = std::max<std::uint32_t>(1, p.batch_size);
     std::uint64_t per_sample = 4ULL *
                                std::max<std::uint32_t>(1, p.channels) *
                                std::max<std::uint32_t>(1, p.height) *
                                std::max<std::uint32_t>(1, p.width);
-    std::uint64_t iters = 1;
-    if (p.total_size > 0)
-        iters = (p.total_size + batch - 1) / batch;
-    return iters * batch * per_sample;
+    return batch * per_sample;
 }
 
 /**
@@ -51,6 +48,22 @@ accelKeyPart(const AcceleratorParams &a)
 }
 
 } // namespace
+
+std::uint64_t
+EdgeRun::trace(TraceContext &ctx) const
+{
+    const std::uint64_t checksum = motif->run(ctx, params);
+    if (heap_bytes > 0) {
+        // Light-weight stack: the unified memory-management module
+        // at gc_intensity ops per traced byte.
+        ManagedHeap heap(ctx, heap_bytes);
+        Rng mgmt_rng(params.seed ^ 0x6c6cULL);
+        stackManagementWork(ctx, heap, mgmt_rng, traced_bytes,
+                            gc_intensity);
+        heap.collect();
+    }
+    return checksum;
+}
 
 ProxyBenchmark::ProxyBenchmark(std::string name, MotifParams base)
     : name_(std::move(name)), base_(base)
@@ -107,24 +120,25 @@ struct EdgeOutcome
 };
 
 /**
- * Memo key: every input of one edge's traced run. The edge weight is
- * deliberately absent (it scales the profile after simulation), and
- * so are the core timing parameters (applied to the profile, not the
- * trace). The machine is keyed by its full simulated geometry --
- * cache levels and predictor -- not by name, so sweeps that mutate a
- * named config (e.g. the LLC-size study) never collide.
+ * Memo key: every input of one edge's traced run. The parameters are
+ * already projected onto what the motif reads, so a field the motif
+ * never reads cannot split the key. The edge weight and the task
+ * count's extrapolation are absent (they scale the profile after
+ * simulation), and so are the core timing parameters (applied to the
+ * profile, not the trace). The machine is keyed by its full simulated
+ * geometry -- cache levels and predictor -- not by name, so sweeps
+ * that mutate a named config (e.g. the LLC-size study) never collide.
  */
 std::string
-edgeTraceKey(const Motif &motif, const MotifParams &p,
-             const MachineConfig &machine, std::uint32_t sharers,
-             std::uint64_t working_set, std::uint64_t traced_bytes,
-             double gc_intensity)
+edgeTraceKey(const EdgeRun &run, const MachineConfig &machine,
+             std::uint32_t sharers)
 {
+    const MotifParams &p = run.params;
     std::ostringstream key;
     // Continuous tunables (sparsity, gc_intensity) must round-trip
     // losslessly or near-identical tuner candidates would collide.
     key.precision(std::numeric_limits<double>::max_digits10);
-    key << motif.name() << '|' << sharers;
+    key << run.motif->name() << '|' << sharers;
     for (const CacheParams *c :
          {&machine.caches.l1i, &machine.caches.l1d, &machine.caches.l2,
           &machine.caches.l3}) {
@@ -135,12 +149,12 @@ edgeTraceKey(const Motif &motif, const MotifParams &p,
         << machine.predictor.history_bits;
     key << '|' << accelKeyPart(machine.accel);
     key << '|' << p.seed << '|' << p.data_size << '|' << p.chunk_size
-        << '|' << p.num_tasks << '|' << p.batch_size << '|'
-        << p.total_size << '|' << p.height << '|' << p.width << '|'
-        << p.channels << '|' << p.filters << '|' << p.kernel << '|'
-        << p.stride << '|' << static_cast<int>(p.layout) << '|'
-        << p.sparsity << '|' << working_set << '|' << traced_bytes
-        << '|' << gc_intensity;
+        << '|' << p.batch_size << '|' << p.total_size << '|' << p.height
+        << '|' << p.width << '|' << p.channels << '|' << p.filters << '|'
+        << p.kernel << '|' << p.stride << '|'
+        << static_cast<int>(p.layout) << '|' << p.sparsity << '|'
+        << run.traced_bytes << '|' << run.heap_bytes << '|'
+        << run.gc_intensity;
     return key.str();
 }
 
@@ -187,16 +201,6 @@ ProxyBenchmark::execute(const MachineConfig &machine,
     const std::uint32_t sharers = std::min(tasks, cores);
     const std::uint64_t waves = (tasks + cores - 1) / cores;
 
-    // Traced working set per task: governed by dataSize/numTasks and
-    // bounded for tuner-iteration cost. Edge *weights* scale each
-    // motif's contribution (extrapolation factor), not its working
-    // set -- so cache behaviour responds to dataSize/chunkSize while
-    // the instruction mix responds to the weights, which is what lets
-    // the decision tree steer metrics independently.
-    const std::uint64_t working_set = std::max<std::uint64_t>(
-        64 * 1024,
-        std::min<std::uint64_t>(base_.data_size / tasks, trace_cap));
-
     // Every edge is one simulated core with private cache/predictor
     // replicas, so the edge simulations are mutually independent:
     // they run sharded across the ThreadPool and merge in edge order
@@ -207,7 +211,7 @@ ProxyBenchmark::execute(const MachineConfig &machine,
     jobs.reserve(edges_.size());
     for (std::size_t ei = 0; ei < edges_.size(); ++ei) {
         jobs.push_back([this, &machine, &outcomes, &pool, ei, tasks,
-                        sharers, waves, working_set]() {
+                        sharers, waves, trace_cap]() {
             const ProxyEdge &edge = edges_[ei];
             EdgeOutcome &out = outcomes[ei];
             // Logical bytes this motif contributes, per task.
@@ -215,62 +219,26 @@ ProxyBenchmark::execute(const MachineConfig &machine,
                                 edge.weight;
             double share = edge_bytes / static_cast<double>(tasks);
 
-            MotifParams p = base_;
-            p.seed = base_.seed ^ mix64(ei + 1);
-            std::uint64_t traced_bytes;
-            if (edge.motif->isAi()) {
-                // One batch per traced run; extrapolate to the share.
-                p.total_size = 0;
-                traced_bytes = aiBytesPerRun(p);
-            } else {
-                p.data_size = working_set;
-                p.chunk_size = std::min<std::uint64_t>(p.chunk_size,
-                                                       p.data_size);
-                traced_bytes = p.data_size;
-            }
-
-            const std::string key = edgeTraceKey(
-                *edge.motif, p, machine, sharers, working_set,
-                traced_bytes, gc_intensity_);
-            bool memoized = false;
-            {
-                MutexLock lock(trace_memo_->mutex);
-                auto it = trace_memo_->entries.find(key);
-                if (it != trace_memo_->entries.end()) {
-                    out.prof = it->second.profile;
-                    out.checksum = it->second.checksum;
-                    memoized = true;
-                }
-            }
-            if (!memoized) {
-                // Light-weight stack: small resident kernel code (the
-                // paper's POSIX-thread implementations), plus the
-                // unified memory-management module at gc_intensity
-                // ops/byte. The context is a pooled replica --
-                // bit-equivalent to a fresh construction.
+            const EdgeRun run = edgeRun(ei, trace_cap);
+            const std::string key = edgeTraceKey(run, machine, sharers);
+            EdgeTrace trace;
+            if (!trace_memo_->get(key, trace)) {
+                // Small resident kernel code (the paper's POSIX-thread
+                // implementations). The context is a pooled replica
+                // -- bit-equivalent to a fresh construction.
                 ReplicaPool::Lease lease = pool.acquire();
                 TraceContext &ctx = lease.ctx();
                 ctx.setCodeFootprint(48 * 1024);
-                out.checksum = edge.motif->run(ctx, p);
-                if (gc_intensity_ > 0.0) {
-                    ManagedHeap heap(
-                        ctx, std::max<std::uint64_t>(64 * 1024,
-                                                     working_set / 8));
-                    Rng mgmt_rng(p.seed ^ 0x6c6cULL);
-                    stackManagementWork(ctx, heap, mgmt_rng,
-                                        traced_bytes, gc_intensity_);
-                    heap.collect();
-                }
-                out.prof = ctx.profile();
-                MutexLock lock(trace_memo_->mutex);
-                trace_memo_->entries.emplace(key,
-                                             EdgeTrace{out.prof,
-                                                       out.checksum});
+                trace.checksum = run.trace(ctx);
+                trace.profile = ctx.profile();
+                trace_memo_->put(key, trace);
             }
+            out.prof = trace.profile;
+            out.checksum = trace.checksum;
 
             double scale = share / static_cast<double>(
                                        std::max<std::uint64_t>(
-                                           1, traced_bytes));
+                                           1, run.traced_bytes));
             out.prof.scale(scale);
 
             // Compute time: tasks run in parallel, in waves if there
@@ -326,6 +294,46 @@ ProxyBenchmark::execute(const MachineConfig &machine,
     result.profile = total;
     result.metrics = computeMetrics(total, machine.core, runtime, 1.0);
     return result;
+}
+
+EdgeRun
+ProxyBenchmark::edgeRun(std::size_t ei, std::uint64_t trace_cap) const
+{
+    const Motif &motif = *edges_[ei].motif;
+    const std::uint32_t tasks =
+        std::max<std::uint32_t>(1, base_.num_tasks);
+    // Traced working set per task: governed by dataSize/numTasks and
+    // bounded for tuner-iteration cost. Edge *weights* scale each
+    // motif's contribution (extrapolation factor), not its working
+    // set -- so cache behaviour responds to dataSize/chunkSize while
+    // the instruction mix responds to the weights, which is what lets
+    // the decision tree steer metrics independently.
+    const std::uint64_t working_set = std::max<std::uint64_t>(
+        64 * 1024,
+        std::min<std::uint64_t>(base_.data_size / tasks, trace_cap));
+
+    EdgeRun run;
+    run.motif = &motif;
+    MotifParams p = base_;
+    p.seed = base_.seed ^ mix64(ei + 1);
+    if (motif.isAi()) {
+        // One batch per traced run; execute() extrapolates to the
+        // edge's share.
+        p.total_size = 0;
+        run.traced_bytes = aiBytesPerBatch(p);
+    } else {
+        p.data_size = working_set;
+        p.chunk_size = std::min<std::uint64_t>(p.chunk_size,
+                                               p.data_size);
+        run.traced_bytes = p.data_size;
+    }
+    run.params = projectParams(p, motif.paramReads());
+    run.gc_intensity = gc_intensity_;
+    if (gc_intensity_ > 0.0) {
+        run.heap_bytes =
+            std::max<std::uint64_t>(64 * 1024, working_set / 8);
+    }
+    return run;
 }
 
 std::vector<TunableParam>

@@ -17,6 +17,7 @@
 #ifndef DMPB_CORE_PROXY_BENCHMARK_HH
 #define DMPB_CORE_PROXY_BENCHMARK_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "base/thread_annotations.hh"
+#include "core/memory_cache.hh"
 #include "motifs/motif.hh"
 #include "sim/access_batch.hh"
 #include "sim/metrics.hh"
@@ -48,6 +50,59 @@ struct ProxyResult
     MetricVector metrics;
     std::uint64_t checksum = 0;
 };
+
+/**
+ * One proxy edge's traced run: the motif, its parameters projected
+ * onto what it reads (Motif::paramReads), and the unified
+ * memory-management work that follows it. ProxyBenchmark::execute
+ * and co-location capture both trace edges through this one type.
+ */
+struct EdgeRun
+{
+    const Motif *motif = nullptr;
+    /** Per-edge seed and bounded working set, then projected. */
+    MotifParams params;
+    /** Bytes one run processes: the extrapolation basis. */
+    std::uint64_t traced_bytes = 0;
+    /** Managed-heap size; 0 when gc_intensity is 0 (no management
+     *  work runs). */
+    std::uint64_t heap_bytes = 0;
+    double gc_intensity = 0.0;
+
+    /** Run the motif and the management work into @p ctx; returns
+     *  the motif's checksum. */
+    std::uint64_t trace(TraceContext &ctx) const;
+};
+
+/** One memoized edge run: its unscaled profile and checksum. */
+struct EdgeTrace
+{
+    KernelProfile profile;
+    std::uint64_t checksum = 0;
+};
+
+/**
+ * Edge-trace memo: raw per-edge simulation outcomes keyed by every
+ * input of the traced run -- the EdgeRun (motif, projected
+ * parameters, traced bytes, heap size, stack intensity), the machine
+ * geometry and the LLC sharers; NOT the edge weight or num_tasks'
+ * extrapolation, which only scale the result afterwards. The
+ * auto-tuner re-executes a proxy dozens of times moving one
+ * parameter at a time, and a move of a field an edge's motif never
+ * reads is a hit; the deterministic engine guarantees every hit is
+ * bit-identical to re-simulation. Thread-safe and LRU-capped.
+ */
+using EdgeTraceMemo = MemoryCache<EdgeTrace>;
+
+/**
+ * Entry cap of an edge-trace memo (a PipelineService's, or a
+ * stand-alone proxy's own). One entry is ~0.5 KB (a 216-byte
+ * EdgeTrace, a ~150-byte key, list and index nodes), so a full memo
+ * holds ~8 MB. Measured at seed 99: a quick pass over all eight
+ * workloads stores ~450 entries and a paper pass ~750, so a daemon
+ * keeps about twenty paper-scale cells warm.
+ */
+constexpr std::size_t kEdgeTraceMemoEntries = 16384;
 
 /** A tunable parameter with its search range (Table I). */
 struct TunableParam
@@ -92,20 +147,35 @@ class ProxyBenchmark
 
     /**
      * Shallow clone: a copy with its own parameter vector / edge
-     * weights that *shares* this proxy's TraceMemo, so edges whose
-     * simulation inputs overlap across clones are traced once and
-     * every memo hit is bit-identical to re-simulation.
+     * weights that *shares* this proxy's edge-trace memo, so edges
+     * whose simulation inputs overlap across clones are traced once
+     * and every memo hit is bit-identical to re-simulation.
      *
      * Thread-safe-execution contract: execute() is const and never
      * mutates the proxy; the only mutable state reachable from it is
-     * the shared TraceMemo, which is mutex-guarded. Any number of
-     * distinct ProxyBenchmark objects (e.g. clones) may therefore
-     * call execute() concurrently -- the parallel auto-tuner
-     * evaluates candidate parameter vectors this way. The mutators
-     * (setParameter(), setSimConfig(), ...) are NOT thread-safe:
-     * confine each clone to a single worker thread.
+     * the shared memo and replica pools, both mutex-guarded. Any
+     * number of distinct ProxyBenchmark objects (e.g. clones) may
+     * therefore call execute() concurrently -- the parallel
+     * auto-tuner evaluates candidate parameter vectors this way. The
+     * mutators (setParameter(), setSimConfig(), ...) are NOT
+     * thread-safe: confine each clone to a single worker thread.
      */
     ProxyBenchmark cloneShallow() const { return *this; }
+
+    /**
+     * Share @p memo instead of this proxy's own (every proxy starts
+     * with a private kEdgeTraceMemoEntries memo). PipelineService
+     * hands one memo to every proxy it decomposes, so a repeated or
+     * cache-hit request rebuilds its result from memoized edges.
+     */
+    void setTraceMemo(std::shared_ptr<EdgeTraceMemo> memo)
+    {
+        trace_memo_ = std::move(memo);
+    }
+
+    /** The traced run of edge @p ei under the current parameters,
+     *  with a per-task working set of at most @p trace_cap bytes. */
+    EdgeRun edgeRun(std::size_t ei, std::uint64_t trace_cap) const;
 
     /** @{ The tunable parameter vector P (Table I). */
     std::vector<TunableParam> parameters() const;
@@ -135,31 +205,6 @@ class ProxyBenchmark
 
   private:
     /**
-     * Trace memo: raw per-edge simulation outcomes keyed by every
-     * input the traced run depends on (motif, seeds, shapes, machine,
-     * LLC sharing, stack intensity -- NOT the edge weight, which only
-     * scales the result afterwards). The auto-tuner re-executes the
-     * proxy dozens of times varying one parameter at a time, so most
-     * edges repeat with identical inputs; the deterministic engine
-     * guarantees a memo hit is bit-identical to re-simulation.
-     * Shared by copies of the proxy; guarded for sharded execution.
-     */
-    struct EdgeTrace
-    {
-        KernelProfile profile;
-        std::uint64_t checksum = 0;
-    };
-    struct TraceMemo
-    {
-        AnnotatedMutex mutex;
-        /** std::map, not unordered: iteration order never matters
-         *  today, but keyed ordering keeps it deterministic for
-         *  free if it ever does. */
-        std::map<std::string, EdgeTrace> entries
-            DMPB_GUARDED_BY(mutex);
-    };
-
-    /**
      * Replica pools, one per distinct simulated-context configuration
      * (cache/predictor geometry, LLC sharers, batch capacity, replay
      * mode -- everything a pooled TraceContext is built from). Edge
@@ -188,8 +233,8 @@ class ProxyBenchmark
     std::vector<ProxyEdge> edges_;
     double gc_intensity_ = 2.0;
     SimConfig sim_;
-    std::shared_ptr<TraceMemo> trace_memo_ =
-        std::make_shared<TraceMemo>();
+    std::shared_ptr<EdgeTraceMemo> trace_memo_ =
+        std::make_shared<EdgeTraceMemo>(kEdgeTraceMemoEntries);
     std::shared_ptr<PoolRegistry> pool_registry_ =
         std::make_shared<PoolRegistry>();
 };

@@ -7,8 +7,11 @@
  * cluster, tuner config), so bench binaries memoise it: the *search*
  * is persisted as a small key=value text file, while every metric a
  * bench reports is still recomputed by re-executing the proxy with the
- * cached parameters. Delete the cache directory to force a full
- * re-tune.
+ * cached parameters. Re-execution goes through the proxy's edge-trace
+ * memo: inside a PipelineService (CLI, daemon) the tuned vector's
+ * edges were simulated during tuning, so a warm hit rebuilds the
+ * result from memoized edge profiles without re-simulating any edge.
+ * Delete the cache directory to force a full re-tune.
  *
  * File format (one file per key, named `<sanitized-key>-<fnv64>.params`
  * so distinct keys that sanitize identically -- "k-means" vs

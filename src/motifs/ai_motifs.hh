@@ -25,6 +25,7 @@ namespace dmpb {
             return MotifClass::motif_class;                               \
         }                                                                 \
         bool isAi() const override { return true; }                      \
+        std::uint32_t paramReads() const override { return kAiReads; }   \
         std::uint64_t run(TraceContext &ctx,                              \
                           const MotifParams &p) const override;           \
     }

@@ -21,6 +21,27 @@ motifClassName(MotifClass c)
     }
 }
 
+MotifParams
+projectParams(const MotifParams &p, std::uint32_t reads)
+{
+    MotifParams q = p;
+    q.num_tasks = 0;
+    q.weight = 0.0;
+    if (!(reads & kReadsDataSize))
+        q.data_size = 0;
+    if (!(reads & kReadsChunkSize))
+        q.chunk_size = 0;
+    if (!(reads & kReadsSparsity))
+        q.sparsity = 0.0;
+    if (!(reads & kReadsTensorShape)) {
+        q.batch_size = q.height = q.width = q.channels = 0;
+        q.filters = q.kernel = q.stride = 0;
+        q.total_size = 0;
+        q.layout = DataLayout::NCHW;
+    }
+    return q;
+}
+
 const std::vector<const Motif *> &
 motifRegistry()
 {

@@ -81,6 +81,33 @@ struct MotifParams
     double sparsity = 0.0;
 };
 
+/**
+ * The MotifParams fields one motif's run() reads, as a bit set of
+ * these flags. Every motif reads `seed`; no motif reads `num_tasks`
+ * or `weight` (the proxy executor applies both after the run).
+ */
+enum ParamRead : std::uint32_t
+{
+    kReadsDataSize = 1u << 0,   ///< data_size
+    kReadsChunkSize = 1u << 1,  ///< chunk_size
+    kReadsSparsity = 1u << 2,   ///< sparsity
+    /** batch_size, total_size, height, width, channels, filters,
+     *  kernel, stride and layout */
+    kReadsTensorShape = 1u << 3,
+};
+
+/** What a big-data motif reads unless it also declares chunk_size. */
+constexpr std::uint32_t kBigDataReads = kReadsDataSize | kReadsSparsity;
+/** What every AI motif reads. */
+constexpr std::uint32_t kAiReads = kReadsTensorShape;
+
+/**
+ * @p p with every field outside @p reads (and outside `seed`) set to
+ * zero. A motif run on the projection is bit-identical to one run on
+ * @p p, so the projection is an exact memo key for the run.
+ */
+MotifParams projectParams(const MotifParams &p, std::uint32_t reads);
+
 /** Abstract data motif. */
 class Motif
 {
@@ -96,10 +123,14 @@ class Motif
     /** AI motif (true) vs big-data motif (false), per Fig. 2. */
     virtual bool isAi() const = 0;
 
+    /** The ParamRead flags naming every field run() reads. */
+    virtual std::uint32_t paramReads() const = 0;
+
     /**
      * Execute the motif: generate input data from p.seed, perform
-     * the real computation with p.num_tasks logical tasks, and emit
-     * every dynamic event into @p ctx.
+     * the real computation over the fields paramReads() names (one
+     * logical task; the proxy executor scales to num_tasks), and
+     * emit every dynamic event into @p ctx.
      *
      * @return a checksum of the computed results (prevents dead-code
      *         elimination; determinism is unit-tested).

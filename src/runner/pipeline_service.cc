@@ -58,6 +58,12 @@ PipelineService::tunerCacheStats() const
     return tuner_layer_.stats();
 }
 
+MemoryCacheStats
+PipelineService::traceMemoStats() const
+{
+    return trace_memo_->stats();
+}
+
 WorkloadOutcome
 PipelineService::execute(const PipelineRequest &request) const
 {
@@ -168,6 +174,7 @@ PipelineService::run(const Workload &workload,
         // per-workload seeds from the master seed.
         ProxyBenchmark proxy = decomposeWorkload(workload);
         proxy.setSimConfig(config_.sim);
+        proxy.setTraceMemo(trace_memo_);
         proxy.baseParams().seed = mixSeed(request.seed, out.short_name);
         TunerConfig tuner = tuner_base;
         tuner.seed = mixSeed(request.seed, out.short_name + "/tuner");

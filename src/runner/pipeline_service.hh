@@ -15,9 +15,9 @@
  * bytes by construction.
  *
  * execute() is thread-safe: the service is immutable after
- * construction apart from the cache layers, which are concurrent-safe
- * (core/cache_layer). Many requests may execute concurrently on
- * caller-owned threads.
+ * construction apart from the cache layers and the edge-trace memo,
+ * which are concurrent-safe (core/cache_layer, core/memory_cache).
+ * Many requests may execute concurrently on caller-owned threads.
  */
 
 #ifndef DMPB_RUNNER_PIPELINE_SERVICE_HH
@@ -156,6 +156,9 @@ class PipelineService
     /** In-memory layer counters (zeros when caching is off). */
     MemoryCacheStats referenceCacheStats() const;
     MemoryCacheStats tunerCacheStats() const;
+    /** Counters of the edge-trace memo every decomposed proxy
+     *  shares (always on; its cap is kEdgeTraceMemoEntries). */
+    MemoryCacheStats traceMemoStats() const;
 
     /** The normalized service configuration. */
     const ServiceConfig &config() const { return config_; }
@@ -170,6 +173,11 @@ class PipelineService
     // behaviour (results are bit-identical with or without hits).
     mutable ReferenceLayer ref_layer_;
     mutable TunerLayer tuner_layer_;
+    /** Shared by every proxy this service decomposes, so tuner
+     *  evaluations, concurrent requests and warm replays all reuse
+     *  each other's edge simulations. */
+    std::shared_ptr<EdgeTraceMemo> trace_memo_ =
+        std::make_shared<EdgeTraceMemo>(kEdgeTraceMemoEntries);
 };
 
 } // namespace dmpb

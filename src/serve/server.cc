@@ -183,6 +183,7 @@ Server::serve()
                 break;
             }
             int ready = ::poll(&pfd, 1, 200);
+            reapFinishedReaders();
             if (ready < 0) {
                 if (errno == EINTR)
                     continue;
@@ -201,10 +202,14 @@ Server::serve()
             }
             auto conn = std::make_shared<Connection>(fd);
             {
+                // Registered before its reader can finish: the reader
+                // takes this lock to report its exit.
                 MutexLock lock(conns_mutex_);
-                conns_.push_back(conn);
-                readers_.emplace_back(
-                    [this, conn] { readerLoop(conn); });
+                const std::uint64_t id = next_conn_id_++;
+                Reader &reader = readers_[id];
+                reader.conn = conn;
+                reader.thread =
+                    std::thread([this, conn, id] { readerLoop(conn, id); });
             }
             {
                 MutexLock lock(stats_mutex_);
@@ -255,21 +260,41 @@ Server::drainAndJoin()
         }
     }
 
-    std::vector<std::shared_ptr<Connection>> conns;
-    std::vector<std::thread> readers;
+    std::map<std::uint64_t, Reader> readers;
     {
         MutexLock lock(conns_mutex_);
-        conns.swap(conns_);
         readers.swap(readers_);
+        finished_.clear();
     }
-    for (const auto &conn : conns)
-        conn->hangUp();
-    for (std::thread &t : readers)
-        t.join();
+    for (auto &entry : readers)
+        entry.second.conn->hangUp();
+    for (auto &entry : readers)
+        entry.second.thread.join();
 }
 
 void
-Server::readerLoop(std::shared_ptr<Connection> conn)
+Server::reapFinishedReaders()
+{
+    std::vector<Reader> done;
+    {
+        MutexLock lock(conns_mutex_);
+        done.reserve(finished_.size());
+        for (std::uint64_t id : finished_) {
+            auto it = readers_.find(id);
+            done.push_back(std::move(it->second));
+            readers_.erase(it);
+        }
+        finished_.clear();
+    }
+    // Each of these readers has left readerLoop, so the joins are
+    // immediate. Dropping the Connection closes its fd unless a
+    // queued run still holds it (then the last response closes it).
+    for (Reader &reader : done)
+        reader.thread.join();
+}
+
+void
+Server::readerLoop(std::shared_ptr<Connection> conn, std::uint64_t id)
 {
     char buf[4096];
     // Pending bytes of the current, unterminated line. inbuf holds no
@@ -311,6 +336,8 @@ Server::readerLoop(std::shared_ptr<Connection> conn)
         }
     }
     conn->open.store(false, std::memory_order_relaxed);
+    MutexLock lock(conns_mutex_);
+    finished_.push_back(id);
 }
 
 void
@@ -482,6 +509,7 @@ Server::statsResponse(std::uint64_t id) const
     };
     emitCache("ref_cache", service_.referenceCacheStats());
     emitCache("tuner_cache", service_.tunerCacheStats());
+    emitCache("trace_memo", service_.traceMemoStats());
     json.closeObject();
     json.closeObject();
     return json.str();

@@ -29,6 +29,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <queue>
 #include <string>
@@ -128,7 +129,19 @@ class Server
         }
     };
 
-    void readerLoop(std::shared_ptr<Connection> conn);
+    /** One accepted connection and the thread reading it. */
+    struct Reader
+    {
+        std::shared_ptr<Connection> conn;
+        std::thread thread;
+    };
+
+    void readerLoop(std::shared_ptr<Connection> conn, std::uint64_t id)
+        DMPB_EXCLUDES(conns_mutex_);
+    /** Join and drop the readers whose connection has closed, so a
+     *  long-lived daemon holds fds and threads only for live
+     *  clients. Called from the accept loop. */
+    void reapFinishedReaders() DMPB_EXCLUDES(conns_mutex_);
     void handleLine(const std::shared_ptr<Connection> &conn,
                     const std::string &line);
     void handleRun(const std::shared_ptr<Connection> &conn,
@@ -159,12 +172,14 @@ class Server
         DMPB_GUARDED_BY(queue_mutex_);
     std::uint64_t next_seq_ DMPB_GUARDED_BY(queue_mutex_) = 0;
 
-    /** Live connections + their reader threads. */
+    /** Live connections + their reader threads, by connection id;
+     *  finished_ lists the ids whose reader has exited and awaits
+     *  reapFinishedReaders(). */
     AnnotatedMutex conns_mutex_;
-    std::vector<std::shared_ptr<Connection>> conns_
+    std::map<std::uint64_t, Reader> readers_
         DMPB_GUARDED_BY(conns_mutex_);
-    std::vector<std::thread> readers_
-        DMPB_GUARDED_BY(conns_mutex_);
+    std::vector<std::uint64_t> finished_ DMPB_GUARDED_BY(conns_mutex_);
+    std::uint64_t next_conn_id_ DMPB_GUARDED_BY(conns_mutex_) = 0;
 
     /** The shutdown requester, answered post-drain. */
     AnnotatedMutex shutdown_mutex_;

@@ -10,6 +10,9 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "base/units.hh"
 #include "core/auto_tuner.hh"
@@ -220,6 +223,120 @@ TEST(ProxyBenchmark, GcIntensityRaisesIpc)
     proxy.setGcIntensity(12.0);
     ProxyResult heavy = proxy.execute(westmereE5645(), 256 * kKiB);
     EXPECT_GT(heavy.metrics[Metric::Ipc], none.metrics[Metric::Ipc]);
+}
+
+// ---------------------------------------------------- Edge-trace memo
+
+/** Every field a ProxyResult carries, compared bit for bit. */
+void
+expectSameResult(const ProxyResult &a, const ProxyResult &b)
+{
+    EXPECT_EQ(a.checksum, b.checksum);
+    EXPECT_EQ(a.runtime_s, b.runtime_s);
+    EXPECT_EQ(a.profile.instructions(), b.profile.instructions());
+    EXPECT_EQ(a.profile.l1d.misses, b.profile.l1d.misses);
+    EXPECT_EQ(a.profile.l2.misses, b.profile.l2.misses);
+    EXPECT_EQ(a.profile.l3.misses, b.profile.l3.misses);
+    EXPECT_EQ(a.profile.branch.mispredicts, b.profile.branch.mispredicts);
+    EXPECT_EQ(a.profile.disk_read_bytes, b.profile.disk_read_bytes);
+    for (std::size_t i = 0; i < kNumMetrics; ++i) {
+        const Metric m = static_cast<Metric>(i);
+        EXPECT_EQ(a.metrics[m], b.metrics[m]) << metricName(m);
+    }
+}
+
+/** A proxy over @p motifs tracing into its own, inspectable memo.
+ *  The 256 KiB trace cap keeps every per-task working set at the cap
+ *  (so heap size is fixed) for the data sizes used below. */
+ProxyBenchmark
+memoProxy(const std::vector<std::string> &motifs,
+          std::shared_ptr<EdgeTraceMemo> memo)
+{
+    MotifParams base;
+    base.data_size = 64 * kMiB;
+    base.chunk_size = 64 * kKiB;
+    base.num_tasks = 12;  // = westmereE5645().totalCores()
+    base.batch_size = 2;
+    base.height = 12;
+    base.width = 12;
+    base.channels = 4;
+    base.filters = 6;
+    ProxyBenchmark proxy("memo", base);
+    for (const std::string &m : motifs)
+        proxy.addEdge(m, 1.0 / static_cast<double>(motifs.size()));
+    proxy.setTraceMemo(std::move(memo));
+    return proxy;
+}
+
+constexpr std::uint64_t kMemoTraceCap = 256 * kKiB;
+
+/** @p proxy executed by a copy with a fresh memo of its own. */
+ProxyResult
+executeUnmemoized(const ProxyBenchmark &proxy)
+{
+    ProxyBenchmark fresh = proxy;
+    fresh.setTraceMemo(
+        std::make_shared<EdgeTraceMemo>(kEdgeTraceMemoEntries));
+    return fresh.execute(westmereE5645(), kMemoTraceCap);
+}
+
+TEST(TraceMemo, AiProxyHitsOnBigDataParameterMoves)
+{
+    auto memo = std::make_shared<EdgeTraceMemo>(kEdgeTraceMemoEntries);
+    ProxyBenchmark proxy = memoProxy({"convolution", "relu"}, memo);
+    proxy.execute(westmereE5645(), kMemoTraceCap);
+    EXPECT_EQ(memo->stats().misses, 2u);
+
+    // No AI motif reads data_size, chunk_size or num_tasks; the task
+    // count stays at or above the core count, so the LLC sharers and
+    // the traced working set do not move either.
+    proxy.setParameter("data_size", 96.0 * kMiB);
+    proxy.setParameter("chunk_size", 512.0 * kKiB);
+    proxy.setParameter("num_tasks", 16.0);
+    ProxyResult memoized = proxy.execute(westmereE5645(), kMemoTraceCap);
+    EXPECT_EQ(memo->stats().misses, 2u);
+    EXPECT_EQ(memo->stats().hits, 2u);
+    expectSameResult(memoized, executeUnmemoized(proxy));
+}
+
+TEST(TraceMemo, ChunkSizeMovesMissOnlyForMotifsThatReadIt)
+{
+    auto stats_memo = std::make_shared<EdgeTraceMemo>(kEdgeTraceMemoEntries);
+    auto sort_memo = std::make_shared<EdgeTraceMemo>(kEdgeTraceMemoEntries);
+    ProxyBenchmark stats = memoProxy({"count_avg_stats"}, stats_memo);
+    ProxyBenchmark sort = memoProxy({"quick_sort"}, sort_memo);
+    for (ProxyBenchmark *proxy : {&stats, &sort}) {
+        proxy->execute(westmereE5645(), kMemoTraceCap);
+        // Below the traced working set, so the clamp keeps the move.
+        proxy->setParameter("chunk_size", 128.0 * kKiB);
+    }
+    ProxyResult stats_moved = stats.execute(westmereE5645(), kMemoTraceCap);
+    ProxyResult sort_moved = sort.execute(westmereE5645(), kMemoTraceCap);
+    EXPECT_EQ(stats_memo->stats().hits, 1u);
+    EXPECT_EQ(stats_memo->stats().misses, 1u);
+    EXPECT_EQ(sort_memo->stats().hits, 0u);
+    EXPECT_EQ(sort_memo->stats().misses, 2u);
+    expectSameResult(stats_moved, executeUnmemoized(stats));
+    expectSameResult(sort_moved, executeUnmemoized(sort));
+}
+
+TEST(TraceMemo, TensorShapeMovesMissOnlyForAiMotifs)
+{
+    auto memo = std::make_shared<EdgeTraceMemo>(kEdgeTraceMemoEntries);
+    ProxyBenchmark conv = memoProxy({"convolution"}, memo);
+    ProxyBenchmark sort = memoProxy({"quick_sort"}, memo);
+    conv.execute(westmereE5645(), kMemoTraceCap);
+    sort.execute(westmereE5645(), kMemoTraceCap);
+    EXPECT_EQ(memo->stats().misses, 2u);
+
+    conv.setParameter("batch_size", 3.0);
+    sort.baseParams().batch_size = 3;
+    conv.execute(westmereE5645(), kMemoTraceCap);
+    EXPECT_EQ(memo->stats().misses, 3u);
+    ProxyResult sort_moved = sort.execute(westmereE5645(), kMemoTraceCap);
+    EXPECT_EQ(memo->stats().misses, 3u);
+    EXPECT_EQ(memo->stats().hits, 1u);
+    expectSameResult(sort_moved, executeUnmemoized(sort));
 }
 
 // --------------------------------------------------------- Decomposer

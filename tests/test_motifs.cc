@@ -75,6 +75,35 @@ TEST(MotifRegistry, NamesUnique)
         EXPECT_TRUE(names.insert(m->name()).second) << m->name();
 }
 
+TEST(MotifRegistry, ProjectionKeepsOnlyDeclaredReads)
+{
+    MotifParams p;
+    p.seed = 1234;
+    MotifParams bd = projectParams(p, kBigDataReads);
+    EXPECT_EQ(bd.seed, 1234u);
+    EXPECT_EQ(bd.data_size, p.data_size);
+    EXPECT_EQ(bd.chunk_size, 0u);
+    EXPECT_EQ(bd.num_tasks, 0u);
+    EXPECT_EQ(bd.batch_size, 0u);
+    MotifParams ai = projectParams(p, kAiReads);
+    EXPECT_EQ(ai.data_size, 0u);
+    EXPECT_EQ(ai.chunk_size, 0u);
+    EXPECT_EQ(ai.num_tasks, 0u);
+    EXPECT_EQ(ai.batch_size, p.batch_size);
+    EXPECT_EQ(ai.channels, p.channels);
+    // Exactly the sort and MD5 motifs read chunk_size; no motif reads
+    // num_tasks.
+    std::set<std::string> chunk_readers;
+    for (const Motif *m : motifRegistry()) {
+        if (m->paramReads() & kReadsChunkSize)
+            chunk_readers.insert(m->name());
+        EXPECT_EQ(m->isAi(), (m->paramReads() & kReadsTensorShape) != 0)
+            << m->name();
+    }
+    EXPECT_EQ(chunk_readers, (std::set<std::string>{
+                                 "md5_hash", "merge_sort", "quick_sort"}));
+}
+
 TEST(MotifRegistry, UnknownNameReturnsNull)
 {
     EXPECT_EQ(findMotif("not_a_motif"), nullptr);
@@ -120,6 +149,33 @@ TEST_P(EveryMotif, SeedChangesData)
     std::uint64_t r2 = m->run(c2, p);
     // Different data, different checksum (collision chance ~2^-64).
     EXPECT_NE(r1, r2) << m->name();
+}
+
+TEST_P(EveryMotif, RunsIdenticallyOnItsParameterProjection)
+{
+    // The edge-trace memo keys on projectParams(): a motif that read a
+    // field outside its declared paramReads() would diverge here.
+    const Motif *m = GetParam();
+    MachineConfig mach = westmereE5645();
+    MotifParams p = smallParams();
+    p.num_tasks = 7;
+    p.total_size = 5;
+    p.kernel = 5;
+    p.stride = 2;
+    p.layout = DataLayout::NHWC;
+    p.weight = 0.3;
+    p.sparsity = 0.4;
+    TraceContext full(mach), projected(mach);
+    std::uint64_t r1 = m->run(full, p);
+    std::uint64_t r2 = m->run(projected, projectParams(p, m->paramReads()));
+    EXPECT_EQ(r1, r2) << m->name();
+    const KernelProfile a = full.profile();
+    const KernelProfile b = projected.profile();
+    EXPECT_EQ(a.instructions(), b.instructions()) << m->name();
+    EXPECT_EQ(a.l1d.accesses, b.l1d.accesses) << m->name();
+    EXPECT_EQ(a.l1d.misses, b.l1d.misses) << m->name();
+    EXPECT_EQ(a.l2.misses, b.l2.misses) << m->name();
+    EXPECT_EQ(a.branch.mispredicts, b.branch.mispredicts) << m->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(

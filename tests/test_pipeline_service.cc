@@ -257,5 +257,45 @@ TEST_F(PipelineServiceTest, ConcurrentDistinctCellsShareOneDirectory)
         expectBitIdentical(solo[i], raced[i]);
 }
 
+TEST_F(PipelineServiceTest, ConcurrentRequestsShareTheTraceMemo)
+{
+    // Every proxy a service decomposes traces into one edge-trace
+    // memo. Concurrent pipelines over different workloads, plus a
+    // repeat of one of them, must still match a serial service's
+    // answers bit for bit.
+    const std::vector<std::string> names = {"terasort", "alexnet",
+                                            "grep"};
+    std::vector<WorkloadOutcome> serial(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        PipelineService service(quickService());
+        serial[i] = service.execute(tinyRequest(names[i]));
+    }
+
+    PipelineService shared(quickService());
+    // names[0] twice: two concurrent pipelines race on the same keys.
+    std::vector<std::size_t> cells = {0, 1, 2, 0};
+    std::vector<WorkloadOutcome> raced(cells.size());
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+        threads.emplace_back([&, i] {
+            raced[i] = shared.execute(tinyRequest(names[cells[i]]));
+        });
+    }
+    for (std::thread &t : threads)
+        t.join();
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        expectBitIdentical(serial[cells[i]], raced[i]);
+
+    // A repeated request re-simulates nothing.
+    const MemoryCacheStats before = shared.traceMemoStats();
+    WorkloadOutcome repeat = shared.execute(tinyRequest("grep"));
+    const MemoryCacheStats after = shared.traceMemoStats();
+    expectBitIdentical(serial[2], repeat);
+    EXPECT_GT(after.hits, before.hits);
+    EXPECT_EQ(after.misses, before.misses);
+    EXPECT_GT(after.entries, 0u);
+    EXPECT_EQ(after.capacity, kEdgeTraceMemoEntries);
+}
+
 } // namespace
 } // namespace dmpb

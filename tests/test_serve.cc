@@ -6,8 +6,10 @@
  * result payload), back-pressure rejections when the admission queue
  * is full, error responses with recovered ids, request lines trickled
  * a byte at a time or sent without a newline past the line cap,
- * graceful shutdown draining admitted work, and the loadgen harness
- * against a live daemon. Part of the CI TSan job: the daemon is the repo's most
+ * graceful shutdown draining admitted work, closed connections
+ * releasing their fd and reader thread, repeated runs replaying from
+ * the shared edge-trace memo, and the loadgen harness against a live
+ * daemon. Part of the CI TSan job: the daemon is the repo's most
  * thread-dense subsystem.
  */
 
@@ -252,6 +254,99 @@ TEST_F(ServeTest, ImmediateCommandsAndRunRoundTrip)
     EXPECT_TRUE(shutdown.find("ok")->asBool());
     EXPECT_TRUE(shutdown.find("shutdown")->asBool());
     EXPECT_EQ(fixture.join(), 0);
+}
+
+/** Entries of a /proc/self directory (open fds, live threads). */
+std::size_t
+procSelfEntries(const char *dir)
+{
+    std::size_t n = 0;
+    for (const auto &entry : std::filesystem::directory_iterator(
+             std::string("/proc/self/") + dir)) {
+        (void)entry;
+        ++n;
+    }
+    return n;
+}
+
+/** The "result" object of a run response line, minus elapsed_s. */
+std::string
+resultBytes(const std::string &line)
+{
+    std::string result = line.substr(line.find("\"result\":"));
+    const std::size_t at = result.find("\"elapsed_s\":");
+    return result.erase(at, result.find(',', at) - at);
+}
+
+TEST_F(ServeTest, RepeatedRunReplaysFromTheTraceMemo)
+{
+    ServeOptions options;
+    options.socket_path = testSocketPath();
+    ServerFixture fixture(options);
+    TestClient client;
+    ASSERT_TRUE(client.connect(options.socket_path));
+
+    const std::string run =
+        "{\"workload\":\"terasort\",\"scale\":\"tiny\",\"seed\":7}";
+    std::string first;
+    ASSERT_TRUE(client.send(run));
+    ASSERT_TRUE(client.recvLine(first));
+    JsonValue stats;
+    ASSERT_TRUE(client.rpc("{\"cmd\":\"stats\",\"id\":2}", stats));
+    const JsonValue *memo = stats.find("stats")->find("trace_memo");
+    ASSERT_NE(memo, nullptr);
+    const std::uint64_t hits = memo->find("hits")->asU64();
+    const std::uint64_t misses = memo->find("misses")->asU64();
+    // Parallel tuner clones may miss one key concurrently, so a key
+    // can count more than one miss.
+    EXPECT_GT(memo->find("entries")->asU64(), 0u);
+    EXPECT_LE(memo->find("entries")->asU64(), misses);
+    EXPECT_EQ(memo->find("capacity")->asU64(), kEdgeTraceMemoEntries);
+
+    // The same request again: every edge simulation is a memo hit,
+    // and the answer is the same bytes.
+    std::string second;
+    ASSERT_TRUE(client.send(run));
+    ASSERT_TRUE(client.recvLine(second));
+    ASSERT_TRUE(client.rpc("{\"cmd\":\"stats\",\"id\":3}", stats));
+    memo = stats.find("stats")->find("trace_memo");
+    EXPECT_GT(memo->find("hits")->asU64(), hits);
+    EXPECT_EQ(memo->find("misses")->asU64(), misses);
+    EXPECT_EQ(resultBytes(first), resultBytes(second));
+}
+
+TEST_F(ServeTest, ClosedConnectionsReleaseTheirFdAndThread)
+{
+    ServeOptions options;
+    options.socket_path = testSocketPath();
+    ServerFixture fixture(options);
+    auto pingOnce = [&](std::uint64_t id) {
+        TestClient client;
+        ASSERT_TRUE(client.connect(options.socket_path));
+        JsonValue pong;
+        ASSERT_TRUE(client.rpc("{\"cmd\":\"ping\",\"id\":" +
+                                   std::to_string(id) + "}",
+                               pong));
+        EXPECT_TRUE(pong.find("pong")->asBool());
+    };
+    pingOnce(0);
+    const std::size_t fds = procSelfEntries("fd");
+    const std::size_t threads = procSelfEntries("task");
+
+    // One client at a time: connect, ping, close.
+    constexpr std::uint64_t kClients = 300;
+    for (std::uint64_t i = 1; i <= kClients; ++i)
+        pingOnce(i);
+
+    // The accept loop reaps within one poll interval (200 ms).
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (procSelfEntries("fd") > fds + 2 &&
+           std::chrono::steady_clock::now() < deadline)
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_LE(procSelfEntries("fd"), fds + 2);
+    EXPECT_LE(procSelfEntries("task"), threads + 2);
+    EXPECT_EQ(fixture.server().stats().connections, kClients + 1);
 }
 
 TEST_F(ServeTest, MalformedRequestsGetCorrelatedErrors)
